@@ -13,9 +13,9 @@ import "regexp"
 // core, the channel models, every controller, the fault-injection layer
 // (ISSUE 4), the observability layer (ISSUE 5 — events carry virtual time
 // and metric snapshots feed rendered output, so it is bound by the same
-// contract), and the experiment harnesses (including their subpackages,
-// e.g. experiments/runner).
-var simPkgRe = regexp.MustCompile(`(^|/)(netsim|cellular|verus|tcp|sprout|experiments|predictor|faults|obs|snap)(/|$)`)
+// contract), the host window every Source drives, and the experiment
+// harnesses (including their subpackages, e.g. experiments/runner).
+var simPkgRe = regexp.MustCompile(`(^|/)(netsim|cellular|verus|tcp|sprout|experiments|predictor|faults|obs|snap|host)(/|$)`)
 
 // transportPkgRe matches the real-UDP transport, which is additionally
 // subject to nowalltime: its wall-clock access must sit behind the Clock

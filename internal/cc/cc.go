@@ -19,9 +19,6 @@ type AckSample struct {
 	// was sent (see Controller.SendTag). Verus uses it to attribute delays
 	// to the window size that caused them.
 	SentWindow int
-	// Inflight is the number of unacknowledged packets after processing
-	// this acknowledgement.
-	Inflight int
 	// Bytes is the size of the acknowledged packet.
 	Bytes int
 }
@@ -33,9 +30,6 @@ type LossEvent struct {
 	// SentWindow is the tag recorded when the lost packet was sent: the
 	// paper's W_loss, "the sending window in which the loss occurred".
 	SentWindow int
-	// Inflight is the number of unacknowledged packets after removing the
-	// lost one.
-	Inflight int
 }
 
 // Controller is the congestion-control decision engine. All methods are

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/cc"
+	"repro/internal/host"
 	"repro/internal/obs"
 	"repro/internal/snap"
 	"repro/internal/stats"
@@ -103,32 +104,10 @@ func (k *Sink) Receive(p *Packet) {
 	k.sim.SchedulePacketAfter(k.ackDelay, k.src, p)
 }
 
-// outstanding tracks one unacknowledged packet at the source.
-type outstanding struct {
-	seq        int64
-	sentAt     time.Duration
-	window     int
-	ackedAfter int // packets with higher seq acked since (dup-ack analogue)
-	lost       bool
-}
-
-const (
-	// dupThresh is the number of later acknowledgements after which a
-	// missing packet is declared lost (TCP's three duplicate ACKs; the
-	// Verus prototype uses a 3×delay timer — the source also applies a
-	// per-packet timer of 3×SRTT for tail losses).
-	dupThresh = 3
-	// minRTO and maxRTO clamp the retransmission timeout. maxRTO must
-	// comfortably exceed the deepest bufferbloat delay (multi-second on
-	// cellular links, §2), or flows livelock in spurious-timeout loops.
-	minRTO = 200 * time.Millisecond
-	maxRTO = 60 * time.Second
-)
-
-// Source is a full-buffer sender driven by a cc.Controller. It performs the
-// host duties the controller interface leaves out: sequencing, per-packet
-// send tags, RTT estimation, duplicate-ack and timer loss detection, and the
-// retransmission timeout.
+// Source is a full-buffer sender driven by a cc.Controller. Its host.Window
+// performs the host duties the controller interface leaves out: sequencing,
+// RTT estimation, duplicate-ack and timer loss detection, and the
+// retransmission timeout. The Source adds the packets and the flow metrics.
 type Source struct {
 	sim  *Sim
 	flow int
@@ -138,12 +117,7 @@ type Source struct {
 
 	metrics *FlowMetrics
 
-	nextSeq  int64
-	inflight []outstanding // ordered by seq; by value, so tracking allocates nothing steady-state
-	srtt     time.Duration
-	rttvar   time.Duration
-	lastProg time.Duration // last forward progress, for RTO
-	backoff  int           // consecutive RTOs without progress (exponential backoff)
+	win      host.Window
 	stopped  bool
 	started  bool
 	stopTick func()
@@ -159,6 +133,9 @@ const (
 	slotSourceTick = 1
 	slotSourceRTO  = 2
 )
+
+// rtoPoll is the period of a Source's retransmission-timeout check.
+const rtoPoll = 10 * time.Millisecond
 
 // NewSource wires a controller into the simulation. The flow starts sending
 // at `start` and stops at `stop` (0 = run forever). ackDelay is the
@@ -188,11 +165,11 @@ func NewSource(sim *Sim, flow int, ctrl cc.Controller, link Link, mtu int,
 // window.
 func (s *Source) start() {
 	s.started = true
-	s.lastProg = s.sim.Now()
+	s.win.Start(s.sim.Now())
 	if iv := s.ctrl.TickInterval(); iv > 0 {
 		s.stopTick = s.sim.everyTagged(derivedID(s.cid, slotSourceTick), iv, s.onTick)
 	}
-	s.stopRTO = s.sim.everyTagged(derivedID(s.cid, slotSourceRTO), 10*time.Millisecond, s.checkRTO)
+	s.stopRTO = s.sim.everyTagged(derivedID(s.cid, slotSourceRTO), rtoPoll, s.checkRTO)
 	s.trySend()
 }
 
@@ -251,13 +228,12 @@ func (s *Source) trySend() {
 		return
 	}
 	now := s.sim.Now()
-	n := s.ctrl.Allowance(now, len(s.inflight))
+	n := s.ctrl.Allowance(now, s.win.Inflight())
 	for i := 0; i < n; i++ {
-		p := s.sim.NewPacket(s.flow, s.nextSeq, s.mtu, now, s.ctrl.SendTag())
-		s.nextSeq++
-		s.inflight = append(s.inflight, outstanding{seq: p.Seq, sentAt: now, window: p.Window})
+		p := s.sim.NewPacket(s.flow, s.win.NextSeq(), s.mtu, now, s.ctrl.SendTag())
+		s.win.Send(now, p.Window)
 		s.metrics.Sent++
-		s.ctrl.OnSend(now, p.Seq, len(s.inflight))
+		s.ctrl.OnSend(now, p.Seq, s.win.Inflight())
 		s.link.Send(p)
 	}
 }
@@ -268,115 +244,24 @@ func (s *Source) onAck(p *Packet) {
 		return
 	}
 	now := s.sim.Now()
-	idx := -1
-	for i, o := range s.inflight {
-		if o.seq == p.Seq {
-			idx = i
-			break
-		}
-		if o.seq > p.Seq {
-			break
-		}
-	}
-	if idx < 0 {
+	o, rtt, ok := s.win.Ack(now, p.Seq)
+	if !ok {
 		return // already declared lost or duplicate ack
 	}
-	o := s.inflight[idx]
-	s.inflight = append(s.inflight[:idx], s.inflight[idx+1:]...)
-	rtt := now - o.sentAt
-	s.updateRTT(rtt)
-	s.lastProg = now
-	s.backoff = 0
-
-	s.ctrl.OnAck(now, cc.AckSample{
-		Seq:        p.Seq,
-		RTT:        rtt,
-		SentWindow: o.window,
-		Inflight:   len(s.inflight),
-		Bytes:      p.Bytes,
-	})
-
-	// Dup-ack analogue: everything older than the acked packet has now been
-	// "acked past" once more; declare losses at the threshold. Also run the
-	// per-packet 3×SRTT timer the Verus prototype uses.
-	s.detectLosses(now, p.Seq)
+	s.ctrl.OnAck(now, cc.AckSample{Seq: p.Seq, RTT: rtt, SentWindow: o.Window, Bytes: p.Bytes})
+	for _, l := range s.win.DetectLosses(now, p.Seq) {
+		s.metrics.LossDetected++
+		s.ctrl.OnLoss(now, cc.LossEvent{Seq: l.Seq, SentWindow: l.Window})
+	}
 	s.trySend()
 }
 
-func (s *Source) detectLosses(now time.Duration, ackedSeq int64) {
-	timerCut := 3 * s.srtt
-	kept := s.inflight[:0]
-	// Index iteration so ackedAfter++ mutates in place; the kept compaction
-	// writes at an index ≤ the read index, so the in-place append is safe.
-	for i := range s.inflight {
-		o := &s.inflight[i]
-		lost := false
-		if o.seq < ackedSeq {
-			o.ackedAfter++
-			if o.ackedAfter >= dupThresh {
-				lost = true
-			}
-		}
-		if !lost && s.srtt > 0 && now-o.sentAt > timerCut && o.ackedAfter > 0 {
-			lost = true
-		}
-		if lost {
-			s.metrics.LossDetected++
-			s.ctrl.OnLoss(now, cc.LossEvent{Seq: o.seq, SentWindow: o.window, Inflight: len(s.inflight) - 1})
-			continue
-		}
-		kept = append(kept, *o)
-	}
-	s.inflight = kept
-}
-
-func (s *Source) updateRTT(rtt time.Duration) {
-	if s.srtt == 0 {
-		s.srtt = rtt
-		s.rttvar = rtt / 2
-		return
-	}
-	// RFC 6298 smoothing.
-	diff := s.srtt - rtt
-	if diff < 0 {
-		diff = -diff
-	}
-	s.rttvar = (3*s.rttvar + diff) / 4
-	s.srtt = (7*s.srtt + rtt) / 8
-}
-
-func (s *Source) rto() time.Duration {
-	r := time.Second
-	if s.srtt != 0 {
-		// 2×srtt tolerates the RTT doubling within one round that slow
-		// start over a filling buffer produces; rttvar alone lags it.
-		r = 2*s.srtt + 4*s.rttvar
-	}
-	for i := 0; i < s.backoff && r < maxRTO; i++ {
-		r *= 2 // exponential backoff after consecutive timeouts
-	}
-	if r < minRTO {
-		r = minRTO
-	}
-	if r > maxRTO {
-		r = maxRTO
-	}
-	return r
-}
-
 func (s *Source) checkRTO() {
-	if s.stopped || len(s.inflight) == 0 {
-		return
-	}
 	now := s.sim.Now()
-	if now-s.lastProg < s.rto() {
+	if s.stopped || !s.win.Timeout(now) {
 		return
 	}
-	// Whole window presumed lost.
 	s.metrics.Timeouts++
-	s.inflight = s.inflight[:0]
-	s.lastProg = now
-	s.backoff++
 	s.ctrl.OnTimeout(now)
 	s.trySend()
 }
@@ -427,20 +312,7 @@ func (s *Source) Snapshot(e *snap.Encoder) {
 		e.Fail(fmt.Errorf("netsim: controller %T is not checkpointable (no Snapshot/Restore)", s.ctrl))
 		return
 	}
-	e.I64(s.nextSeq)
-	e.U32(uint32(len(s.inflight)))
-	for i := range s.inflight {
-		o := &s.inflight[i]
-		e.I64(o.seq)
-		e.Dur(o.sentAt)
-		e.Int(o.window)
-		e.Int(o.ackedAfter)
-		e.Bool(o.lost)
-	}
-	e.Dur(s.srtt)
-	e.Dur(s.rttvar)
-	e.Dur(s.lastProg)
-	e.Int(s.backoff)
+	s.win.Snapshot(e)
 	e.Bool(s.stopped)
 	e.Bool(s.started)
 	s.metrics.Snapshot(e)
@@ -458,25 +330,7 @@ func (s *Source) Restore(d *snap.Decoder) {
 		d.Fail(fmt.Errorf("netsim: controller %T is not checkpointable (no Snapshot/Restore)", s.ctrl))
 		return
 	}
-	s.nextSeq = d.I64()
-	n := int(d.U32())
-	s.inflight = s.inflight[:0]
-	for i := 0; i < n; i++ {
-		var o outstanding
-		o.seq = d.I64()
-		o.sentAt = d.Dur()
-		o.window = d.Int()
-		o.ackedAfter = d.Int()
-		o.lost = d.Bool()
-		if d.Err() != nil {
-			return
-		}
-		s.inflight = append(s.inflight, o)
-	}
-	s.srtt = d.Dur()
-	s.rttvar = d.Dur()
-	s.lastProg = d.Dur()
-	s.backoff = d.Int()
+	s.win.Restore(d)
 	s.stopped = d.Bool()
 	s.started = d.Bool()
 	s.metrics.Restore(d)
@@ -488,6 +342,6 @@ func (s *Source) Restore(d *snap.Decoder) {
 		if iv := s.ctrl.TickInterval(); iv > 0 {
 			s.stopTick = s.sim.restoreTimer(derivedID(s.cid, slotSourceTick), iv, s.onTick, s.stopped)
 		}
-		s.stopRTO = s.sim.restoreTimer(derivedID(s.cid, slotSourceRTO), 10*time.Millisecond, s.checkRTO, s.stopped)
+		s.stopRTO = s.sim.restoreTimer(derivedID(s.cid, slotSourceRTO), rtoPoll, s.checkRTO, s.stopped)
 	}
 }

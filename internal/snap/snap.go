@@ -44,7 +44,9 @@ const Magic = "VSNP"
 // version, so a stale checkpoint can never be half-applied to new code.
 // Version 2: packets and flow metrics carry delay-attribution state, and
 // metro trials carry per-cell attribution aggregates.
-const Version uint32 = 2
+// Version 3: a source's host state is one host.Window record; the unused
+// per-packet lost flag is gone and the resend count takes its place.
+const Version uint32 = 3
 
 // ErrTruncated reports a payload that ended mid-value.
 var ErrTruncated = errors.New("snap: truncated snapshot")

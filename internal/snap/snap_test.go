@@ -141,6 +141,15 @@ func TestFramingRejections(t *testing.T) {
 	if _, err := Decode(future, Version); err == nil || !contains(err.Error(), "version") {
 		t.Errorf("future-version file: got %v, want version error", err)
 	}
+	// Likewise a file from the previous format (version 2 had a write-only
+	// lost flag in every source's host state) must fail on its version.
+	past, err := e2.Encode(Version - 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Decode(past, Version); err == nil || !contains(err.Error(), "version 2") {
+		t.Errorf("previous-version file: got %v, want version error", err)
+	}
 }
 
 func contains(s, sub string) bool {

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"net"
+	"net/netip"
 	"strconv"
 	"sync"
 	"time"
@@ -29,16 +30,16 @@ func (s ReceiverStats) MeanMbps() float64 {
 	return float64(s.Bytes) * 8 / d / 1e6
 }
 
-// Receiver is the paper's receiver application: it accepts data packets on a
-// UDP socket and echoes an acknowledgement (with the sender's timestamp and
-// window tag) for every packet, from which the sender derives delay
-// measurements.
 // receiverCounters are the receiver's telemetry instruments — obs counters
 // so Observe can register the same instruments with a metrics registry.
 type receiverCounters struct {
 	packets, bytes, unique, syns obs.Counter
 }
 
+// Receiver is the paper's receiver application: it accepts data packets on a
+// UDP socket and echoes an acknowledgement (with the sender's timestamp and
+// window tag) for every packet, from which the sender derives delay
+// measurements.
 type Receiver struct {
 	conn  *net.UDPConn
 	clock Clock
@@ -49,9 +50,65 @@ type Receiver struct {
 	mu     sync.Mutex
 	first  time.Time
 	last   time.Time
-	seen   map[int64]struct{}
 	closed bool
 	done   chan struct{}
+
+	// streams dedups each sender's flow separately; loop-owned.
+	streams map[streamKey]*seqWindow
+}
+
+// streamKey identifies one sender's flow; every sender numbers from seq 0.
+type streamKey struct {
+	peer netip.AddrPort
+	flow byte
+}
+
+// dedupWindow is how many seqs above a stream's watermark are tracked one
+// by one: far more than any sender keeps in flight.
+const dedupWindow = 1 << 14
+
+// seqWindow counts one stream's unique seqs in fixed memory. Every seq below
+// base has arrived or was given up on; bit s mod dedupWindow of seen marks
+// the arrival of seq s in [base, base+dedupWindow).
+type seqWindow struct {
+	base int64
+	seen [dedupWindow / 64]uint64
+}
+
+// mark records the arrival of seq and reports whether it is new. A seq
+// below the window is a duplicate; one beyond it slides the window up,
+// giving up on the unarrived seqs it passes.
+func (w *seqWindow) mark(seq int64) bool {
+	if seq < w.base {
+		return false
+	}
+	if seq-w.base >= 2*dedupWindow {
+		w.seen, w.base = [dedupWindow / 64]uint64{}, seq-dedupWindow+1
+	}
+	for seq-w.base >= dedupWindow {
+		w.swap(w.base, false)
+		w.base++
+	}
+	if w.swap(seq, true) {
+		return false
+	}
+	for w.swap(w.base, false) { // advance the watermark over arrived seqs
+		w.base++
+	}
+	return true
+}
+
+// swap sets the arrival bit of seq to v and returns its previous value.
+func (w *seqWindow) swap(seq int64, v bool) bool {
+	i := uint64(seq) % dedupWindow
+	word, mask := &w.seen[i/64], uint64(1)<<(i%64)
+	old := *word&mask != 0
+	if v {
+		*word |= mask
+	} else {
+		*word &^= mask
+	}
+	return old
 }
 
 // NewReceiver starts a receiver listening on addr (e.g. "127.0.0.1:0"),
@@ -75,10 +132,10 @@ func NewReceiverWithClock(addr string, clock Clock) (*Receiver, error) {
 		clock = SystemClock()
 	}
 	r := &Receiver{
-		conn:  conn,
-		clock: clock,
-		seen:  make(map[int64]struct{}),
-		done:  make(chan struct{}),
+		conn:    conn,
+		clock:   clock,
+		streams: make(map[streamKey]*seqWindow),
+		done:    make(chan struct{}),
 	}
 	go r.loop()
 	return r, nil
@@ -168,11 +225,16 @@ func (r *Receiver) loop() {
 			r.first = now
 		}
 		r.last = now
-		if _, dup := r.seen[h.Seq]; !dup {
-			r.seen[h.Seq] = struct{}{}
+		r.mu.Unlock()
+		key := streamKey{peer.AddrPort(), h.Flow}
+		st := r.streams[key]
+		if st == nil {
+			st = new(seqWindow)
+			r.streams[key] = st
+		}
+		if st.mark(h.Seq) {
 			r.ctrs.unique.Inc()
 		}
-		r.mu.Unlock()
 
 		ack := Header{Type: typeAck, Flow: h.Flow, Seq: h.Seq, SentNanos: h.SentNanos, Window: h.Window}
 		ackBuf = ack.Marshal(ackBuf[:0])

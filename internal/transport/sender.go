@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/cc"
+	"repro/internal/host"
 	"repro/internal/obs"
 	"repro/internal/stats"
 )
@@ -106,27 +107,15 @@ type Sender struct {
 	doneCh chan struct{}
 
 	// Event-loop state (not locked; loop-owned).
-	nextSeq  int64
-	pending  []*pendingPkt
-	srtt     time.Duration
-	rttvar   time.Duration
-	lastProg time.Duration
-	backoff  int  // consecutive RTOs without progress
-	stalled  bool // a stall episode is open (reported once)
+	win     host.Window
+	buf     []byte // one data packet: header, then a zero payload
+	stalled bool   // a stall episode is open (reported once)
 }
 
 // stallReportAfter is how many consecutive no-progress RTOs open a stall
 // episode. Three back-to-back timeouts with exponential backoff means
 // seconds of silence — long past ordinary loss recovery.
 const stallReportAfter = 3
-
-type pendingPkt struct {
-	seq        int64
-	sentAt     time.Duration
-	window     int
-	ackedAfter int
-	retx       int
-}
 
 // Dial connects a sender to the receiver at addr, verifies liveness with a
 // bounded-retry control handshake, and starts the event loop. A receiver
@@ -170,6 +159,7 @@ func Dial(addr string, ctrl cc.Controller, cfg SenderConfig) (*Sender, error) {
 		errCh:  make(chan error, 8),
 		stopCh: make(chan struct{}),
 		doneCh: make(chan struct{}),
+		buf:    make([]byte, headerSize+cfg.PayloadBytes),
 	}
 	s.rtt = stats.NewSummary(1024)
 	if s.obs != nil {
@@ -221,12 +211,9 @@ func (s *Sender) handshake() error {
 		s.emitHandshake("probe", attempts+1)
 		syn := Header{Type: typeSyn, Flow: s.cfg.Flow, SentNanos: now.UnixNano()}
 		synBuf = syn.Marshal(synBuf[:0])
-		if _, err := s.conn.Write(synBuf); err != nil {
-			// Likely ICMP unreachable surfaced on the connected socket;
-			// back off and retry within the budget like any lost probe.
-			s.sleepUntilNextAttempt(&wait, rng, deadline)
-			continue
-		}
+		// A failed write (likely ICMP unreachable surfaced on the connected
+		// socket) is waited out below like any lost probe.
+		_, _ = s.conn.Write(synBuf)
 		jitter := time.Duration(float64(wait) * 0.25 * (rng.Float64()*2 - 1))
 		attemptDeadline := now.Add(wait + jitter)
 		if attemptDeadline.After(deadline) {
@@ -267,26 +254,6 @@ func (s *Sender) emitHandshake(phase string, attempt int) {
 	}
 	s.obs.Emit(obs.Event{At: s.now(), Kind: obs.KindHandshake, Flow: int32(s.cfg.Flow),
 		Run: s.cfg.ObsRun, Str: phase, V0: float64(attempt)})
-}
-
-// sleepUntilNextAttempt burns the current backoff interval (with jitter)
-// when the probe could not even be written, without exceeding the deadline.
-// It waits on the socket (which has a read deadline set) rather than the
-// scheduler, keeping the clock the single time source.
-func (s *Sender) sleepUntilNextAttempt(wait *time.Duration, rng *rand.Rand, deadline time.Time) {
-	jitter := time.Duration(float64(*wait) * 0.25 * (rng.Float64()*2 - 1))
-	until := s.clock.Now().Add(*wait + jitter)
-	if until.After(deadline) {
-		until = deadline
-	}
-	s.conn.SetReadDeadline(until)
-	buf := make([]byte, maxPacket)
-	for {
-		if _, err := s.conn.Read(buf); err != nil {
-			break
-		}
-	}
-	*wait *= 2
 }
 
 // Errors exposes the sender's graceful-degradation reports: handshake-level
@@ -368,7 +335,7 @@ func (s *Sender) run() {
 	}
 	ticker := s.clock.NewTicker(interval)
 	defer ticker.Stop()
-	s.lastProg = s.now()
+	s.win.Start(s.now())
 	s.trySend()
 	for {
 		select {
@@ -390,51 +357,35 @@ func (s *Sender) run() {
 
 func (s *Sender) trySend() {
 	now := s.now()
-	n := s.ctrl.Allowance(now, len(s.pending))
-	buf := make([]byte, 0, headerSize+s.cfg.PayloadBytes)
+	n := s.ctrl.Allowance(now, s.win.Inflight())
 	for i := 0; i < n; i++ {
-		h := Header{
-			Type:      typeData,
-			Flow:      s.cfg.Flow,
-			Seq:       s.nextSeq,
-			SentNanos: s.clock.Now().UnixNano(),
-			Window:    uint32(s.ctrl.SendTag()),
-			Length:    uint16(s.cfg.PayloadBytes),
-		}
-		buf = h.Marshal(buf[:0])
-		buf = append(buf, make([]byte, s.cfg.PayloadBytes)...)
-		if _, err := s.conn.Write(buf); err != nil {
-			s.pushErr(fmt.Errorf("transport: send of seq %d failed: %w", h.Seq, err))
+		seq, tag := s.win.NextSeq(), s.ctrl.SendTag()
+		if err := s.writeData(seq, tag); err != nil {
+			s.pushErr(fmt.Errorf("transport: send of seq %d failed: %w", seq, err))
 			return
 		}
-		s.pending = append(s.pending, &pendingPkt{seq: h.Seq, sentAt: now, window: int(h.Window)})
-		s.nextSeq++
+		s.win.Send(now, tag)
 		s.ctrs.sent.Inc()
-		s.ctrl.OnSend(now, h.Seq, len(s.pending))
+		s.ctrl.OnSend(now, seq, s.win.Inflight())
 	}
+}
+
+// writeData sends data packet seq under send tag window from the sender's
+// packet buffer; only the header is rewritten.
+func (s *Sender) writeData(seq int64, window int) error {
+	h := Header{Type: typeData, Flow: s.cfg.Flow, Seq: seq, SentNanos: s.clock.Now().UnixNano(),
+		Window: uint32(window), Length: uint16(s.cfg.PayloadBytes)}
+	h.Marshal(s.buf[:0])
+	_, err := s.conn.Write(s.buf)
+	return err
 }
 
 func (s *Sender) handleAck(h Header) {
 	now := s.now()
-	idx := -1
-	for i, p := range s.pending {
-		if p.seq == h.Seq {
-			idx = i
-			break
-		}
-		if p.seq > h.Seq {
-			break
-		}
-	}
-	if idx < 0 {
+	p, rtt, ok := s.win.Ack(now, h.Seq)
+	if !ok {
 		return
 	}
-	p := s.pending[idx]
-	s.pending = append(s.pending[:idx], s.pending[idx+1:]...)
-	rtt := now - p.sentAt
-	s.updateRTT(rtt)
-	s.lastProg = now
-	s.backoff = 0
 	s.stalled = false // ack progress closes any open stall episode
 
 	s.ctrs.acked.Inc()
@@ -442,136 +393,41 @@ func (s *Sender) handleAck(h Header) {
 	s.rtt.Add(rtt.Seconds())
 	s.mu.Unlock()
 
-	s.ctrl.OnAck(now, cc.AckSample{
-		Seq:        h.Seq,
-		RTT:        rtt,
-		SentWindow: p.window,
-		Inflight:   len(s.pending),
-		Bytes:      int(h.Length) + headerSize,
-	})
-	s.detectLosses(now, h.Seq)
-}
-
-// detectLosses mirrors the prototype's policy (§5.2): a missing sequence is
-// declared lost after three later acknowledgements or a 3×delay timer, and
-// the missing packet is retransmitted.
-func (s *Sender) detectLosses(now time.Duration, ackedSeq int64) {
-	timerCut := 3 * s.srtt
-	kept := s.pending[:0]
-	var lost []*pendingPkt
-	for _, p := range s.pending {
-		isLost := false
-		if p.seq < ackedSeq {
-			p.ackedAfter++
-			if p.ackedAfter >= 3 {
-				isLost = true
-			}
-		}
-		if !isLost && s.srtt > 0 && now-p.sentAt > timerCut && p.ackedAfter > 0 {
-			isLost = true
-		}
-		if isLost {
-			lost = append(lost, p)
+	s.ctrl.OnAck(now, cc.AckSample{Seq: h.Seq, RTT: rtt, SentWindow: p.Window, Bytes: int(h.Length) + headerSize})
+	// Resend each lost packet (§5.2) until it reaches host.MaxRetx.
+	for _, l := range s.win.DetectLosses(now, h.Seq) {
+		s.ctrs.losses.Inc()
+		s.ctrl.OnLoss(now, cc.LossEvent{Seq: l.Seq, SentWindow: l.Window})
+		if l.Retx >= host.MaxRetx {
 			continue
 		}
-		kept = append(kept, p)
-	}
-	s.pending = kept
-	for _, p := range lost {
-		s.ctrs.losses.Inc()
-		s.ctrl.OnLoss(now, cc.LossEvent{Seq: p.seq, SentWindow: p.window, Inflight: len(s.pending)})
-		s.retransmit(p, now)
-	}
-}
-
-func (s *Sender) retransmit(p *pendingPkt, now time.Duration) {
-	if p.retx >= 3 {
-		return // give up; the stream is a full-buffer source anyway
-	}
-	h := Header{
-		Type:      typeData,
-		Flow:      s.cfg.Flow,
-		Seq:       p.seq,
-		SentNanos: s.clock.Now().UnixNano(),
-		Window:    uint32(s.ctrl.SendTag()),
-		Length:    uint16(s.cfg.PayloadBytes),
-	}
-	buf := h.Marshal(make([]byte, 0, headerSize+s.cfg.PayloadBytes))
-	buf = append(buf, make([]byte, s.cfg.PayloadBytes)...)
-	if _, err := s.conn.Write(buf); err != nil {
-		s.pushErr(fmt.Errorf("transport: retransmit of seq %d failed: %w", p.seq, err))
-		return
-	}
-	np := &pendingPkt{seq: p.seq, sentAt: now, window: int(h.Window), retx: p.retx + 1}
-	// Re-insert in seq order.
-	pos := len(s.pending)
-	for i, q := range s.pending {
-		if q.seq > np.seq {
-			pos = i
-			break
+		tag := s.ctrl.SendTag()
+		if err := s.writeData(l.Seq, tag); err != nil {
+			s.pushErr(fmt.Errorf("transport: retransmit of seq %d failed: %w", l.Seq, err))
+			continue
 		}
+		s.win.Resend(now, l, tag)
+		s.ctrs.retransmits.Inc()
 	}
-	s.pending = append(s.pending, nil)
-	copy(s.pending[pos+1:], s.pending[pos:])
-	s.pending[pos] = np
-	s.ctrs.retransmits.Inc()
-}
-
-func (s *Sender) updateRTT(rtt time.Duration) {
-	if s.srtt == 0 {
-		s.srtt = rtt
-		s.rttvar = rtt / 2
-		return
-	}
-	diff := s.srtt - rtt
-	if diff < 0 {
-		diff = -diff
-	}
-	s.rttvar = (3*s.rttvar + diff) / 4
-	s.srtt = (7*s.srtt + rtt) / 8
-}
-
-func (s *Sender) rto() time.Duration {
-	r := time.Second
-	if s.srtt != 0 {
-		// 2×srtt tolerates the RTT doubling within one round that slow
-		// start over a filling buffer produces; rttvar alone lags it.
-		r = 2*s.srtt + 4*s.rttvar
-	}
-	for i := 0; i < s.backoff && r < 60*time.Second; i++ {
-		r *= 2 // exponential backoff after consecutive timeouts
-	}
-	if r < 200*time.Millisecond {
-		r = 200 * time.Millisecond
-	}
-	if r > 60*time.Second {
-		r = 60 * time.Second
-	}
-	return r
 }
 
 func (s *Sender) checkTimers(now time.Duration) {
-	if len(s.pending) == 0 {
+	if !s.win.Timeout(now) {
 		return
 	}
-	if now-s.lastProg < s.rto() {
-		return
-	}
-	s.pending = s.pending[:0]
-	s.lastProg = now
-	s.backoff++
 	s.ctrs.timeouts.Inc()
-	openStall := s.backoff >= stallReportAfter && !s.stalled
+	backoff := s.win.Backoff()
+	openStall := backoff >= stallReportAfter && !s.stalled
 	if openStall {
 		s.stalled = true
 		s.ctrs.stalls.Inc()
 	}
 	if s.obs != nil {
 		s.obs.Emit(obs.Event{At: now, Kind: obs.KindRTO, Flow: int32(s.cfg.Flow),
-			Run: s.cfg.ObsRun, V0: float64(s.backoff), V1: s.rto().Seconds()})
+			Run: s.cfg.ObsRun, V0: float64(backoff), V1: s.win.RTO().Seconds()})
 		if openStall {
 			s.obs.Emit(obs.Event{At: now, Kind: obs.KindStall, Flow: int32(s.cfg.Flow),
-				Run: s.cfg.ObsRun, V0: float64(s.backoff)})
+				Run: s.cfg.ObsRun, V0: float64(backoff)})
 		}
 	}
 	if openStall {
@@ -579,7 +435,7 @@ func (s *Sender) checkTimers(now time.Duration) {
 		// probing (the RTO backoff continues), but the application learns
 		// the path is dark and can decide to tear down.
 		s.pushErr(fmt.Errorf("transport: flow %d stalled: no ack progress through %d consecutive RTOs (next backoff %v); still probing",
-			s.cfg.Flow, s.backoff, s.rto()))
+			s.cfg.Flow, backoff, s.win.RTO()))
 	}
 	s.ctrl.OnTimeout(now)
 }

@@ -14,7 +14,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"time"
 )
 
 // Packet types on the wire.
@@ -89,9 +88,4 @@ func ParseHeader(data []byte) (Header, error) {
 		return Header{}, fmt.Errorf("transport: negative sequence %d", h.Seq)
 	}
 	return h, nil
-}
-
-// rttFrom computes the round-trip time from an ack's echoed timestamp.
-func rttFrom(h Header, now time.Time) time.Duration {
-	return now.Sub(time.Unix(0, h.SentNanos))
 }
