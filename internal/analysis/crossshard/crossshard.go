@@ -1,12 +1,11 @@
 // Package crossshard verifies the mesh sharding invariant at compile
 // time: a callback scheduled on one cell's Sim runs inside that cell's
 // shard and may touch other cells only through the Mesh outbox/barrier
-// API (Mesh.Send / Mesh.SendPacket), never by calling into another
-// cell's Sim directly. RunSharded executes cells on separate goroutines
-// between barriers, so a direct cross-cell touch is a data race and a
-// serial≡sharded divergence — the exact class of bug the
-// executor-equivalence harness exists to catch at runtime, promoted here
-// to a compile-time check (DESIGN.md §14).
+// API (Mesh.Send), never by calling into another cell's Sim directly.
+// RunSharded executes cells on separate goroutines between barriers, so a
+// direct cross-cell touch is a data race and a serial≡sharded divergence —
+// the exact class of bug the executor-equivalence harness exists to catch
+// at runtime, promoted here to a compile-time check (DESIGN.md §14).
 //
 // # What it proves
 //
@@ -15,8 +14,9 @@
 // variable assigned `mesh.Cell(3)` has origin cell 3; copies propagate
 // the origin; joining paths that disagree, reassignment, or a
 // non-constant cell index degrade the origin to unknown. A function
-// literal passed to a scheduling method (Schedule, After, Every,
-// SchedulePacket, SchedulePacketAfter) of a Sim with known origin N is a
+// literal passed to a scheduling or registration method (Schedule, After,
+// Every, RegisterFunc, RegisterReceiver) of a Sim with known origin N —
+// directly or through a handler conversion such as netsim.Func(...) — is a
 // worker context for cell N: any reference inside it to a Sim variable
 // whose origin is a *known, different* cell M is reported.
 //
@@ -50,13 +50,13 @@ var Analyzer = &analysis.Analyzer{
 }
 
 // schedulingMethods are the Sim methods whose func-literal argument runs
-// inside that Sim's shard.
+// inside that Sim's shard: the scheduling and registration entry points.
 var schedulingMethods = map[string]bool{
-	"Schedule":            true,
-	"After":               true,
-	"Every":               true,
-	"SchedulePacket":      true,
-	"SchedulePacketAfter": true,
+	"Schedule":         true,
+	"After":            true,
+	"Every":            true,
+	"RegisterFunc":     true,
+	"RegisterReceiver": true,
 }
 
 func run(pass *analysis.Pass) error {
@@ -257,12 +257,23 @@ func (cf *cellFlow) checkWorkers(s origins, n ast.Node, pass *analysis.Pass) {
 			return true // cannot place the worker's shard: stay quiet
 		}
 		for _, arg := range call.Args {
-			if lit, ok := arg.(*ast.FuncLit); ok {
+			if lit := cf.workerLit(arg); lit != nil {
 				cf.checkWorkerBody(s, lit.Body, home.cell, pass)
 			}
 		}
 		return true
 	})
+}
+
+// workerLit returns the function literal an argument carries: the literal
+// itself, or one wrapped in a conversion to a handler type (netsim.Func,
+// netsim.ReceiverFunc).
+func (cf *cellFlow) workerLit(arg ast.Expr) *ast.FuncLit {
+	if call, ok := arg.(*ast.CallExpr); ok && len(call.Args) == 1 && cf.pass.TypesInfo.Types[call.Fun].IsType() {
+		arg = call.Args[0]
+	}
+	lit, _ := arg.(*ast.FuncLit)
+	return lit
 }
 
 // checkWorkerBody reports every reference inside a worker closure to a
@@ -282,7 +293,7 @@ func (cf *cellFlow) checkWorkerBody(s origins, body *ast.BlockStmt, home int64, 
 		}
 		if o, tracked := s[obj]; tracked && o.known && o.cell != home {
 			pass.Reportf(id.Pos(),
-				"worker scheduled on cell %d touches cell %d's Sim directly; cross-cell effects must go through Mesh.Send/Mesh.SendPacket (the outbox respects the lookahead barrier, a direct call races)",
+				"worker scheduled on cell %d touches cell %d's Sim directly; cross-cell effects must go through Mesh.Send (the outbox respects the lookahead barrier, a direct call races)",
 				home, o.cell)
 		}
 		return true

@@ -3,9 +3,9 @@ package netsim
 // SameCell touches only the Sim the worker was scheduled on.
 func SameCell(m *Mesh) {
 	sim := m.Cell(0)
-	sim.Schedule(5, func() {
-		sim.After(1, func() {})
-	})
+	sim.Schedule(5, Func(func() {
+		sim.After(1, Func(func() {}), nil)
+	}), nil)
 }
 
 // LoopWiring is the repository's topology-setup idiom: the cell index is
@@ -15,9 +15,9 @@ func LoopWiring(m *Mesh, n int) {
 	for i := 0; i < n; i++ {
 		sim := m.Cell(i)
 		peer := m.Cell((i + 1) % n)
-		sim.Schedule(5, func() {
+		sim.Schedule(5, Func(func() {
 			_ = peer.Now()
-		})
+		}), nil)
 	}
 }
 
@@ -25,9 +25,9 @@ func LoopWiring(m *Mesh, n int) {
 // respects the lookahead barrier.
 func OutboxDetour(m *Mesh) {
 	src := m.Cell(0)
-	src.Schedule(5, func() {
-		m.Send(0, 1, 7, func() {})
-	})
+	src.Schedule(5, Func(func() {
+		m.Send(0, 1, 7, Func(func() {}), nil)
+	}), nil)
 }
 
 // JoinDegrades: after the branch joins, sim's provenance is ambiguous,
@@ -38,7 +38,7 @@ func JoinDegrades(m *Mesh, flip bool) {
 		sim = m.Cell(1)
 	}
 	target := m.Cell(1)
-	sim.Schedule(1, func() {
+	sim.Schedule(1, Func(func() {
 		_ = target.Now()
-	})
+	}), nil)
 }

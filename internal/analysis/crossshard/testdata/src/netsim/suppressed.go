@@ -6,8 +6,8 @@ package netsim
 func SetupInsideClosure(m *Mesh) {
 	a := m.Cell(0)
 	b := m.Cell(1)
-	a.Schedule(0, func() {
+	a.Schedule(0, Func(func() {
 		//lint:crossshard cross-shard-ok -- runs at t=0 before RunSharded forks the cells
 		_ = b.Now()
-	})
+	}), nil)
 }

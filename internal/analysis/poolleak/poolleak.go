@@ -15,9 +15,9 @@
 // function's responsibility when it reaches:
 //
 //   - a release:   FreePacket
-//   - a transfer:  SchedulePacket, SchedulePacketAfter (event-heap
-//     custody), Mesh.SendPacket (outbox custody), Link Send / Receiver
-//     Receive (datapath custody), queue Enqueue / ring push
+//   - a transfer:  Sim Schedule / After (event-heap custody), Mesh Send
+//     (outbox custody), Link Send / Receiver Receive (datapath custody),
+//     queue Enqueue / ring push
 //   - an escape:   any other call taking the pointer, storing it into a
 //     field, slice, map, channel, or aggregate, returning it, aliasing
 //     it to another name, taking its address, or capturing it in a
@@ -65,14 +65,13 @@ var Analyzer = &analysis.Analyzer{
 // someone else's to release from here on. The table is the DESIGN.md §14
 // transfer-call table.
 var transferCalls = map[string]bool{
-	"FreePacket":          true, // released into the pool
-	"SchedulePacket":      true, // event-heap custody until delivery
-	"SchedulePacketAfter": true,
-	"SendPacket":          true, // Mesh outbox: packet migrates cells
-	"Send":                true, // Link ingress
-	"Receive":             true, // Receiver hand-off
-	"Enqueue":             true, // queue custody
-	"push":                true, // pktRing (netsim-internal)
+	"FreePacket": true, // released into the pool
+	"Schedule":   true, // event-heap custody until delivery
+	"After":      true,
+	"Send":       true, // Link ingress; Mesh outbox (packet migrates cells)
+	"Receive":    true, // Receiver hand-off
+	"Enqueue":    true, // queue custody
+	"push":       true, // pktRing (netsim-internal)
 }
 
 // borrowCalls inspect a packet without taking custody.
@@ -141,7 +140,7 @@ func analyze(pass *analysis.Pass, body *ast.BlockStmt) {
 	if out, ok := res.Out[g.Exit].(ownMap); ok {
 		for _, obj := range sortedOwners(out) {
 			report(out[obj],
-				"packet allocated here may leak: a path to return reaches neither FreePacket nor an ownership transfer (SchedulePacket/SchedulePacketAfter/Mesh.SendPacket/Send/Receive/Enqueue)")
+				"packet allocated here may leak: a path to return reaches neither FreePacket nor an ownership transfer (Schedule/After/Send/Receive/Enqueue)")
 		}
 	}
 }

@@ -46,5 +46,5 @@ func (s *Sim) ReturnedToCaller() *Packet {
 // analyzed as a function of its own).
 func (s *Sim) FreedByTimer() {
 	p := s.NewPacket(5, 1)
-	s.After(10, func() { s.FreePacket(p) })
+	s.After(10, Func(func() { s.FreePacket(p) }), nil)
 }

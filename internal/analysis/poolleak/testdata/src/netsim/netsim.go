@@ -41,24 +41,30 @@ func (s *Sim) FreePacket(p *Packet) {
 	s.free = append(s.free, p)
 }
 
-// SchedulePacket hands the packet to the event heap until delivery.
-func (s *Sim) SchedulePacket(at int64, p *Packet) {
+// Receiver mirrors the event handler interface.
+type Receiver interface{ Receive(p *Packet) }
+
+// Func adapts a closure to a Receiver.
+type Func func()
+
+// Receive implements Receiver.
+func (f Func) Receive(*Packet) { f() }
+
+// Schedule hands the packet to the event heap until delivery.
+func (s *Sim) Schedule(at int64, r Receiver, p *Packet) {
 	s.heap = append(s.heap, p)
 }
 
-// SchedulePacketAfter is SchedulePacket with a relative deadline.
-func (s *Sim) SchedulePacketAfter(d int64, p *Packet) {
+// After is Schedule with a relative deadline.
+func (s *Sim) After(d int64, r Receiver, p *Packet) {
 	s.heap = append(s.heap, p)
 }
-
-// After schedules a callback.
-func (s *Sim) After(d int64, fn func()) {}
 
 // Mesh mirrors the multi-cell router.
 type Mesh struct{}
 
-// SendPacket moves the packet into the destination cell's outbox.
-func (m *Mesh) SendPacket(src, dst int, delay int64, p *Packet) {}
+// Send moves the packet into the destination cell's outbox.
+func (m *Mesh) Send(src, dst int, delay int64, r Receiver, p *Packet) {}
 
 // Link mirrors the datapath ingress.
 type Link struct{}

@@ -1,16 +1,22 @@
 package netsim
 
-// ScheduledForDelivery: the event heap owns the packet once
-// SchedulePacketAfter accepts it.
-func (s *Sim) ScheduledForDelivery(at int64) {
+// ScheduledForDelivery: the event heap owns the packet once After
+// accepts it.
+func (s *Sim) ScheduledForDelivery(at int64, r Receiver) {
 	p := s.NewPacket(1, 1)
-	s.SchedulePacketAfter(at, p)
+	s.After(at, r, p)
 }
 
-// PushedAcrossMesh: the outbox owns the packet once SendPacket accepts it.
-func PushedAcrossMesh(m *Mesh, s *Sim) {
+// ScheduledAbsolute: Schedule is the same custody transfer.
+func (s *Sim) ScheduledAbsolute(at int64, r Receiver) {
+	p := s.NewPacket(1, 2)
+	s.Schedule(at, r, p)
+}
+
+// PushedAcrossMesh: the outbox owns the packet once Send accepts it.
+func PushedAcrossMesh(m *Mesh, s *Sim, r Receiver) {
 	p := s.NewPacket(2, 1)
-	m.SendPacket(0, 1, 5, p)
+	m.Send(0, 1, 5, r, p)
 }
 
 // SentOrFreed: datapath custody on the good path, release on the drop

@@ -239,7 +239,7 @@ func (r *metroHomeRecv) Receive(p *netsim.Packet) {
 		// The handover stall defers delivery; the wait is fault hold time,
 		// closed by the sink at the release instant.
 		p.MarkDelay(now, stats.DelayFaultHold)
-		r.sim.SchedulePacketAfter(st.stallUntil-now, st.sink, p)
+		r.sim.After(st.stallUntil-now, st.sink, p)
 		return
 	}
 	st.sink.Receive(p)
@@ -259,7 +259,7 @@ type metroBounce struct {
 // Receive implements netsim.Receiver.
 func (b *metroBounce) Receive(p *netsim.Packet) {
 	st := b.states[p.Flow]
-	b.mesh.SendPacket(b.s, st.home, b.delay, b.home[st.home], p)
+	b.mesh.Send(b.s, st.home, b.delay, b.home[st.home], p)
 }
 
 // metroLinkRecv is the sector link's egress: home-cell delivery for users
@@ -286,7 +286,7 @@ func (r *metroLinkRecv) Receive(p *netsim.Packet) {
 	// Both backhaul hops (out to the serving sector and back home) charge to
 	// the detour component; the bounce continues the same open interval.
 	p.MarkDelay(r.sim.Now(), stats.DelayDetour)
-	r.mesh.SendPacket(r.s, st.cur, r.delay, r.bounce[st.cur], p)
+	r.mesh.Send(r.s, st.cur, r.delay, r.bounce[st.cur], p)
 }
 
 // metroSim is one fully built metro trial: the mesh, the per-sector
@@ -405,11 +405,11 @@ func metroBuild(opts MetroOptions, mk Maker, flows int, seed int64) *metroSim {
 			for _, h := range u.Handovers {
 				h := h
 				home := u.Home
-				sim.ScheduleTracked(h.At, func() {
+				sim.Schedule(h.At, sim.RegisterFunc(func() {
 					st.cur = h.To
 					st.stallUntil = h.At + h.Stall
 					m.handoversByCell[home]++
-				})
+				}), nil)
 			}
 		}
 	}

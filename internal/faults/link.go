@@ -40,10 +40,10 @@ type Link struct {
 	// (not a ReceiverFunc) so pending re-arrivals can checkpoint by id.
 	reorderRecv *reorderTap
 
-	// endOutageID/endStallID are the registry ids of the window-end
-	// callbacks, registered at Wrap so the pending end events checkpoint.
-	endOutageID int64
-	endStallID  int64
+	// outageEnd/stallEnd are the window-end callbacks, registered at Wrap
+	// so the pending end events checkpoint.
+	outageEnd *netsim.Callback
+	stallEnd  *netsim.Callback
 
 	// passive is fixed at Wrap: the plan has no per-packet stochastic
 	// impairment, so deliveries outside event windows never touch the RNG.
@@ -108,17 +108,17 @@ func Wrap(sim *netsim.Sim, plan *Plan, seed int64, dst netsim.Receiver, mk func(
 	tap := &egressTap{l: l}
 	sim.RegisterReceiver(tap)
 	l.inner = mk(tap)
-	l.endOutageID = sim.RegisterFunc(l.endOutage)
-	l.endStallID = sim.RegisterFunc(l.endStall)
+	l.outageEnd = sim.RegisterFunc(l.endOutage)
+	l.stallEnd = sim.RegisterFunc(l.endStall)
 	if plan != nil {
 		base := sim.Now()
 		for _, ev := range plan.Events {
 			ev := ev
 			switch ev.Kind {
 			case Outage:
-				sim.ScheduleTracked(base+ev.At, func() { l.startOutage(ev.Dur) })
+				sim.Schedule(base+ev.At, sim.RegisterFunc(func() { l.startOutage(ev.Dur) }), nil)
 			case Handover:
-				sim.ScheduleTracked(base+ev.At, func() { l.startStall(ev.Dur) })
+				sim.Schedule(base+ev.At, sim.RegisterFunc(func() { l.startStall(ev.Dur) }), nil)
 			}
 		}
 	}
@@ -224,7 +224,7 @@ func (l *Link) deliver(p *netsim.Packet) {
 		l.ReorderPending++
 		// The extra reorder delay is fault-induced hold time.
 		p.MarkDelay(l.sim.Now(), stats.DelayFaultHold)
-		l.sim.SchedulePacketAfter(l.plan.ReorderDelay, l.reorderRecv, p)
+		l.sim.After(l.plan.ReorderDelay, l.reorderRecv, p)
 		return
 	}
 	// The duplicate draw happens before p is handed downstream: once arrived,
@@ -297,7 +297,7 @@ func (l *Link) startOutage(dur time.Duration) {
 		l.held = l.held[:0]
 	}
 	l.emitFault(obs.KindFaultBegin, "outage", dur.Seconds(), drained)
-	l.sim.AfterRegistered(dur, l.endOutageID)
+	l.sim.After(dur, l.outageEnd, nil)
 }
 
 // endOutage restores service when an outage window closes.
@@ -311,7 +311,7 @@ func (l *Link) startStall(dur time.Duration) {
 	l.inStall = true
 	l.updateFast()
 	l.emitFault(obs.KindFaultBegin, "handover", dur.Seconds(), 0)
-	l.sim.AfterRegistered(dur, l.endStallID)
+	l.sim.After(dur, l.stallEnd, nil)
 }
 
 // endStall completes a handover: the stall lifts and the held buffer is

@@ -13,7 +13,7 @@ func BenchmarkScheduleRun(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.Schedule(time.Duration(i), fn)
+		s.Schedule(time.Duration(i), Func(fn), nil)
 	}
 	s.Run(time.Duration(b.N))
 }
@@ -27,14 +27,14 @@ func BenchmarkScheduleRunDeep(b *testing.B) {
 	fn := func() {}
 	const standing = 1024
 	for i := 0; i < standing; i++ {
-		s.Schedule(time.Duration(i), fn)
+		s.Schedule(time.Duration(i), Func(fn), nil)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		// Pop the earliest event and push a replacement at the back, keeping
 		// the heap at a constant depth.
-		s.Schedule(time.Duration(standing+i), fn)
+		s.Schedule(time.Duration(standing+i), Func(fn), nil)
 		s.Run(time.Duration(i + 1))
 	}
 }
@@ -45,8 +45,8 @@ func BenchmarkScheduleRunDeep(b *testing.B) {
 func BenchmarkEveryTick(b *testing.B) {
 	s := NewSim()
 	ticks := 0
-	stop := s.Every(time.Millisecond, func() { ticks++ })
-	defer stop()
+	timer := s.Every(time.Millisecond, func() { ticks++ })
+	defer timer.Stop()
 	b.ReportAllocs()
 	b.ResetTimer()
 	s.Run(time.Duration(b.N) * time.Millisecond)

@@ -25,8 +25,7 @@ type CBR struct {
 	offFor   time.Duration
 	nextSeq  int64
 	stopped  bool
-	runFn    func() // the one self-rescheduling callback, bound once
-	runID    int64  // runFn's registry id, so pending sends checkpoint
+	run      *Callback // the one self-rescheduling registered callback
 }
 
 // NewCBR creates a constant-rate flow of rateMbps using mtu-sized packets,
@@ -54,12 +53,10 @@ func NewCBR(sim *Sim, flow int, link Link, mtu int, rateMbps float64,
 	}
 	c.sink = &Sink{sim: sim, metrics: m} // no src: CBR needs no ACKs
 	sim.RegisterReceiver(c.sink)
-	c.runFn = c.run
-	c.runID = sim.RegisterFunc(c.runFn)
-	sim.scheduleTagged(start, c.runID, c.runFn)
+	c.run = sim.RegisterFunc(c.onRun)
+	sim.Schedule(start, c.run, nil)
 	if stop > 0 {
-		haltID := sim.RegisterFunc(c.halt)
-		sim.scheduleTagged(stop, haltID, c.halt)
+		sim.Schedule(stop, sim.RegisterFunc(c.halt), nil)
 	}
 	return c, m
 }
@@ -83,7 +80,7 @@ func (c *CBR) Instrument(o *obs.Observer, run int64) {
 // as on Source.
 func (c *CBR) SetAttribution(a *stats.Attribution) { c.sink.attrib = a }
 
-func (c *CBR) run() {
+func (c *CBR) onRun() {
 	if c.stopped {
 		return
 	}
@@ -92,12 +89,12 @@ func (c *CBR) run() {
 		phase := c.sim.Now() % cycle
 		if phase >= c.onFor {
 			// In an OFF period: sleep until the next ON boundary.
-			c.sim.afterTagged(cycle-phase, c.runID, c.runFn)
+			c.sim.After(cycle-phase, c.run, nil)
 			return
 		}
 	}
 	c.send()
-	c.sim.afterTagged(c.interval, c.runID, c.runFn)
+	c.sim.After(c.interval, c.run, nil)
 }
 
 func (c *CBR) send() {

@@ -101,7 +101,7 @@ func (k *Sink) Receive(p *Packet) {
 	// The delivered packet doubles as its own acknowledgement: it rides the
 	// reverse path back to the Source (a Receiver), which releases it after
 	// processing the ack. No closure, no ack object.
-	k.sim.SchedulePacketAfter(k.ackDelay, k.src, p)
+	k.sim.After(k.ackDelay, k.src, p)
 }
 
 // Source is a full-buffer sender driven by a cc.Controller. Its host.Window
@@ -117,18 +117,18 @@ type Source struct {
 
 	metrics *FlowMetrics
 
-	win      host.Window
-	stopped  bool
-	started  bool
-	stopTick func()
-	stopRTO  func()
-	sink     *Sink
-	// cid is the source's construction-order registry id; the timers armed
-	// when the start event fires derive their ids from it (see snapshot.go).
-	cid int64
+	win     host.Window
+	stopped bool
+	started bool
+	// tick (nil when the controller has no tick) and rto are created at
+	// construction under ids derived from the start callback's, and armed
+	// when the flow starts.
+	tick *Timer
+	rto  *Timer
+	sink *Sink
 }
 
-// Derived-id slots for the timers a Source arms mid-run.
+// Derived-id slots for a Source's timers.
 const (
 	slotSourceTick = 1
 	slotSourceRTO  = 2
@@ -149,27 +149,29 @@ func NewSource(sim *Sim, flow int, ctrl cc.Controller, link Link, mtu int,
 	m := NewFlowMetrics(flow)
 	s := &Source{sim: sim, flow: flow, ctrl: ctrl, link: link, mtu: mtu, metrics: m}
 	s.sink = &Sink{sim: sim, metrics: m, ackDelay: ackDelay, src: s}
-	s.cid = sim.RegisterFunc(s.start)
+	startCB := sim.RegisterFunc(s.start)
 	sim.RegisterReceiver(s)
 	sim.RegisterReceiver(s.sink)
-	sim.scheduleTagged(start, s.cid, s.start)
+	if iv := ctrl.TickInterval(); iv > 0 {
+		s.tick = sim.newTimer(derivedID(startCB.id, slotSourceTick), iv, s.onTick)
+	}
+	s.rto = sim.newTimer(derivedID(startCB.id, slotSourceRTO), rtoPoll, s.checkRTO)
+	sim.Schedule(start, startCB, nil)
 	if stop > 0 {
-		stopID := sim.RegisterFunc(s.Stop)
-		sim.scheduleTagged(stop, stopID, s.Stop)
+		sim.Schedule(stop, sim.RegisterFunc(s.Stop), nil)
 	}
 	return s, m
 }
 
-// start begins transmission: it arms the controller tick and RTO timers under
-// ids derived from the source's construction-time id, then sends the first
-// window.
+// start begins transmission: it arms the controller tick and RTO timers,
+// then sends the first window.
 func (s *Source) start() {
 	s.started = true
 	s.win.Start(s.sim.Now())
-	if iv := s.ctrl.TickInterval(); iv > 0 {
-		s.stopTick = s.sim.everyTagged(derivedID(s.cid, slotSourceTick), iv, s.onTick)
+	if s.tick != nil {
+		s.sim.After(s.tick.interval, s.tick, nil)
 	}
-	s.stopRTO = s.sim.everyTagged(derivedID(s.cid, slotSourceRTO), rtoPoll, s.checkRTO)
+	s.sim.After(rtoPoll, s.rto, nil)
 	s.trySend()
 }
 
@@ -185,12 +187,19 @@ func (s *Source) onTick() {
 // Stop halts the flow (no further transmissions).
 func (s *Source) Stop() {
 	s.stopped = true
-	if s.stopTick != nil {
-		s.stopTick()
+	s.stopTimers()
+}
+
+// stopTimers stops the armed timers. Before the flow starts there are none:
+// a flow stopped early still arms live timers at its start event.
+func (s *Source) stopTimers() {
+	if !s.started {
+		return
 	}
-	if s.stopRTO != nil {
-		s.stopRTO()
+	if s.tick != nil {
+		s.tick.Stop()
 	}
+	s.rto.Stop()
 }
 
 // Metrics returns the flow's metric sink.
@@ -319,10 +328,8 @@ func (s *Source) Snapshot(e *snap.Encoder) {
 	cs.Snapshot(e)
 }
 
-// Restore implements Snapshotter. If the checkpoint was taken after the flow
-// started, the tick and RTO timers are re-registered under their derived ids
-// (carrying the stopped flag) so the heap restore can resolve their pending
-// tick events.
+// Restore implements Snapshotter. The rebuilt timers are unarmed — their
+// pending ticks arrive with the heap — and carry the stopped flag.
 func (s *Source) Restore(d *snap.Decoder) {
 	d.Expect("source")
 	cs, ok := s.ctrl.(snap.Snapshotter)
@@ -335,13 +342,7 @@ func (s *Source) Restore(d *snap.Decoder) {
 	s.started = d.Bool()
 	s.metrics.Restore(d)
 	cs.Restore(d)
-	if d.Err() != nil {
-		return
-	}
-	if s.started {
-		if iv := s.ctrl.TickInterval(); iv > 0 {
-			s.stopTick = s.sim.restoreTimer(derivedID(s.cid, slotSourceTick), iv, s.onTick, s.stopped)
-		}
-		s.stopRTO = s.sim.restoreTimer(derivedID(s.cid, slotSourceRTO), rtoPoll, s.checkRTO, s.stopped)
+	if d.Err() == nil && s.stopped {
+		s.stopTimers()
 	}
 }

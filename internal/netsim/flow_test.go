@@ -85,7 +85,7 @@ func TestSourceDetectsLossViaDupAcks(t *testing.T) {
 		link = NewFixedLink(sim, NewDropTail(1_000_000), 10, 2*time.Millisecond, dst, 7)
 		return link
 	}, 1000, []FlowSpec{{Ctrl: ctrl, AckDelay: 2 * time.Millisecond}})
-	sim.Schedule(time.Second, func() { link.SetLossProb(0.05) })
+	sim.Schedule(time.Second, Func(func() { link.SetLossProb(0.05) }), nil)
 	d.Run(10 * time.Second)
 	if len(ctrl.losses) == 0 {
 		t.Fatal("no losses detected despite 5% drop rate")
@@ -109,7 +109,7 @@ func TestSourceRTOOnBlackout(t *testing.T) {
 		return link
 	}, 1000, []FlowSpec{{Ctrl: ctrl, AckDelay: 2 * time.Millisecond}})
 	// Total blackout after 1 s.
-	sim.Schedule(time.Second, func() { link.SetLossProb(1.0) })
+	sim.Schedule(time.Second, Func(func() { link.SetLossProb(1.0) }), nil)
 	d.Run(4 * time.Second)
 	if ctrl.timeouts == 0 {
 		t.Fatal("no RTO during blackout")

@@ -92,7 +92,7 @@ func (c *linkCore) finish(p *Packet) {
 	if c.obs != nil {
 		c.obs.onDeliver(c.sim.Now(), p)
 	}
-	c.sim.SchedulePacketAfter(c.propDly, c.dst, p)
+	c.sim.After(c.propDly, c.dst, p)
 }
 
 // SetPropDelay changes the one-way propagation delay for future deliveries.
@@ -126,12 +126,11 @@ type FixedLink struct {
 
 	rateBps float64
 	busy    bool
-	// serving is the packet currently on the wire; servedFn is the one
-	// serialization-complete callback reused for every packet, so serving a
-	// packet schedules no closures. servedID is its registry id.
-	serving  *Packet
-	servedFn func()
-	servedID int64
+	// serving is the packet currently on the wire; served is the one
+	// registered serialization-complete callback reused for every packet,
+	// so serving a packet schedules no closures.
+	serving *Packet
+	served  *Callback
 }
 
 // NewFixedLink returns a link serving q at rateMbps with the given one-way
@@ -152,8 +151,7 @@ func NewFixedLink(sim *Sim, q Queue, rateMbps float64, prop time.Duration, dst R
 		},
 		rateBps: rateMbps * 1e6,
 	}
-	l.servedFn = l.onServed
-	l.servedID = sim.RegisterFunc(l.servedFn)
+	l.served = sim.RegisterFunc(l.onServed)
 	return l
 }
 
@@ -189,13 +187,18 @@ func (l *FixedLink) serveNext() {
 	l.serving = p
 	p.MarkDelay(l.sim.Now(), stats.DelaySerialize)
 	ser := time.Duration(float64(p.Bytes*8) / l.rateBps * float64(time.Second))
-	l.sim.afterTagged(ser, l.servedID, l.servedFn)
+	l.sim.After(ser, l.served, nil)
 }
 
 // onServed fires when the serving packet's last bit leaves the sender:
 // finish it (loss or propagation), then start on the next queued packet.
+// With nothing on the wire it does nothing: only a crafted checkpoint's
+// heap can fire it then.
 func (l *FixedLink) onServed() {
 	p := l.serving
+	if p == nil {
+		return
+	}
 	l.serving = nil
 	l.finish(p)
 	l.serveNext()
@@ -216,13 +219,12 @@ type TraceLink struct {
 	// served by earlier opportunities (RLC-style segmentation: a packet may
 	// span several transmission opportunities).
 	headServed int
-	// opIdx/opBase locate the pending delivery opportunity; opFn is the one
-	// callback reused for every opportunity, so trace replay schedules no
-	// closures. opID is its registry id.
+	// opIdx/opBase locate the pending delivery opportunity; op is the one
+	// registered callback reused for every opportunity, so trace replay
+	// schedules no closures.
 	opIdx  int
 	opBase time.Duration
-	opFn   func()
-	opID   int64
+	op     *Callback
 
 	// WastedBytes counts unused opportunity capacity.
 	WastedBytes int64
@@ -248,8 +250,7 @@ func NewTraceLink(sim *Sim, q Queue, tr *trace.Trace, prop time.Duration, dst Re
 		tr:   tr,
 		loop: loop,
 	}
-	l.opFn = l.runOp
-	l.opID = sim.RegisterFunc(l.opFn)
+	l.op = sim.RegisterFunc(l.runOp)
 	l.scheduleOp(0, 0)
 	return l
 }
@@ -268,7 +269,7 @@ func (l *TraceLink) scheduleOp(idx int, base time.Duration) {
 		base += l.tr.Duration
 	}
 	l.opIdx, l.opBase = idx, base
-	l.sim.scheduleTagged(base+l.tr.Ops[idx].At, l.opID, l.opFn)
+	l.sim.Schedule(base+l.tr.Ops[idx].At, l.op, nil)
 }
 
 // runOp serves the pending delivery opportunity and schedules the next one.

@@ -24,10 +24,10 @@ func TestFixedLinkSerialization(t *testing.T) {
 	dst := &collector{sim: sim}
 	// 8 Mbps, no prop delay: a 1000-byte packet takes 1 ms on the wire.
 	l := NewFixedLink(sim, NewDropTail(1_000_000), 8, 0, dst, 1)
-	sim.Schedule(0, func() {
+	sim.Schedule(0, Func(func() {
 		l.Send(pkt(0, 0, 1000))
 		l.Send(pkt(0, 1, 1000))
-	})
+	}), nil)
 	sim.Run(time.Second)
 	if len(dst.pkts) != 2 {
 		t.Fatalf("delivered %d, want 2", len(dst.pkts))
@@ -41,7 +41,7 @@ func TestFixedLinkPropDelay(t *testing.T) {
 	sim := NewSim()
 	dst := &collector{sim: sim}
 	l := NewFixedLink(sim, NewDropTail(1_000_000), 8, 10*time.Millisecond, dst, 1)
-	sim.Schedule(0, func() { l.Send(pkt(0, 0, 1000)) })
+	sim.Schedule(0, Func(func() { l.Send(pkt(0, 0, 1000)) }), nil)
 	sim.Run(time.Second)
 	if dst.times[0] != 11*time.Millisecond {
 		t.Fatalf("delivery at %v, want 11ms", dst.times[0])
@@ -52,9 +52,9 @@ func TestFixedLinkRateChange(t *testing.T) {
 	sim := NewSim()
 	dst := &collector{sim: sim}
 	l := NewFixedLink(sim, NewDropTail(1_000_000), 8, 0, dst, 1)
-	sim.Schedule(0, func() { l.Send(pkt(0, 0, 1000)) })
-	sim.Schedule(500*time.Microsecond, func() { l.SetRateMbps(80) }) // mid-serialization
-	sim.Schedule(2*time.Millisecond, func() { l.Send(pkt(0, 1, 1000)) })
+	sim.Schedule(0, Func(func() { l.Send(pkt(0, 0, 1000)) }), nil)
+	sim.Schedule(500*time.Microsecond, Func(func() { l.SetRateMbps(80) }), nil) // mid-serialization
+	sim.Schedule(2*time.Millisecond, Func(func() { l.Send(pkt(0, 1, 1000)) }), nil)
 	sim.Run(time.Second)
 	// First packet keeps old rate (1 ms); second serializes at 0.1 ms.
 	if dst.times[0] != time.Millisecond {
@@ -74,11 +74,11 @@ func TestFixedLinkLoss(t *testing.T) {
 	dst := &collector{sim: sim}
 	l := NewFixedLink(sim, NewDropTail(10_000_000), 100, 0, dst, 3)
 	l.SetLossProb(0.5)
-	sim.Schedule(0, func() {
+	sim.Schedule(0, Func(func() {
 		for i := int64(0); i < 1000; i++ {
 			l.Send(pkt(0, i, 100))
 		}
-	})
+	}), nil)
 	sim.Run(time.Minute)
 	got := float64(len(dst.pkts)) / 1000
 	if math.Abs(got-0.5) > 0.08 {
@@ -129,11 +129,11 @@ func TestTraceLinkDeliversAtOpportunities(t *testing.T) {
 		trace.Opportunity{At: 9 * time.Millisecond, Bytes: 1000},
 	)
 	l := NewTraceLink(sim, NewDropTail(1_000_000), tr, 0, dst, false, 1)
-	sim.Schedule(0, func() {
+	sim.Schedule(0, Func(func() {
 		for i := int64(0); i < 3; i++ {
 			l.Send(pkt(0, i, 1000))
 		}
-	})
+	}), nil)
 	sim.Run(time.Second)
 	if len(dst.pkts) != 3 {
 		t.Fatalf("delivered %d, want 3", len(dst.pkts))
@@ -155,7 +155,7 @@ func TestTraceLinkSegmentationCarriesOver(t *testing.T) {
 		trace.Opportunity{At: 2 * time.Millisecond, Bytes: 1000},
 	)
 	l := NewTraceLink(sim, NewDropTail(1_000_000), tr, 0, dst, false, 1)
-	sim.Schedule(0, func() { l.Send(pkt(0, 0, 1500)) })
+	sim.Schedule(0, Func(func() { l.Send(pkt(0, 0, 1500)) }), nil)
 	sim.Run(time.Second)
 	if len(dst.pkts) != 1 {
 		t.Fatalf("delivered %d, want 1", len(dst.pkts))
@@ -173,7 +173,7 @@ func TestTraceLinkWastesIdleCapacity(t *testing.T) {
 		trace.Opportunity{At: 10 * time.Millisecond, Bytes: 1000},
 	)
 	l := NewTraceLink(sim, NewDropTail(1_000_000), tr, 0, dst, false, 1)
-	sim.Schedule(5*time.Millisecond, func() { l.Send(pkt(0, 0, 1000)) })
+	sim.Schedule(5*time.Millisecond, Func(func() { l.Send(pkt(0, 0, 1000)) }), nil)
 	sim.Run(time.Second)
 	if l.WastedBytes != 5000 {
 		t.Fatalf("WastedBytes = %d, want 5000", l.WastedBytes)
@@ -189,11 +189,11 @@ func TestTraceLinkLoops(t *testing.T) {
 	tr := traceOf(trace.Opportunity{At: 1 * time.Millisecond, Bytes: 1000})
 	tr.Duration = 2 * time.Millisecond
 	l := NewTraceLink(sim, NewDropTail(1_000_000), tr, 0, dst, true, 1)
-	sim.Schedule(0, func() {
+	sim.Schedule(0, Func(func() {
 		for i := int64(0); i < 3; i++ {
 			l.Send(pkt(0, i, 1000))
 		}
-	})
+	}), nil)
 	sim.Run(10 * time.Millisecond)
 	if len(dst.pkts) != 3 {
 		t.Fatalf("looped trace delivered %d, want 3", len(dst.pkts))
@@ -212,7 +212,7 @@ func TestTraceLinkEndsWithoutLoop(t *testing.T) {
 	dst := &collector{sim: sim}
 	tr := traceOf(trace.Opportunity{At: 1 * time.Millisecond, Bytes: 1000})
 	l := NewTraceLink(sim, NewDropTail(1_000_000), tr, 0, dst, false, 1)
-	sim.Schedule(2*time.Millisecond, func() { l.Send(pkt(0, 0, 1000)) })
+	sim.Schedule(2*time.Millisecond, Func(func() { l.Send(pkt(0, 0, 1000)) }), nil)
 	sim.Run(time.Second)
 	if len(dst.pkts) != 0 {
 		t.Fatal("packet delivered after trace ended")
@@ -231,11 +231,11 @@ func TestTraceLinkLoss(t *testing.T) {
 	}
 	l := NewTraceLink(sim, NewDropTail(10_000_000), traceOf(ops...), 0, dst, false, 5)
 	l.SetLossProb(0.3)
-	sim.Schedule(0, func() {
+	sim.Schedule(0, Func(func() {
 		for i := int64(0); i < 1000; i++ {
 			l.Send(pkt(0, i, 1000))
 		}
-	})
+	}), nil)
 	sim.Run(time.Hour)
 	got := float64(len(dst.pkts)) / 1000
 	if math.Abs(got-0.7) > 0.08 {

@@ -14,7 +14,7 @@ import (
 // topologies (DESIGN.md §12). Each cell is an ordinary *Sim — links, queues,
 // and flows are built against it exactly as against a standalone simulator —
 // and cross-cell interactions travel over lookahead channels: Send schedules
-// a callback in another cell's timeline at least `lookahead` in the future.
+// an event in another cell's timeline at least `lookahead` in the future.
 //
 // Two executors run the same mesh:
 //
@@ -110,73 +110,48 @@ func (m *Mesh) PendingCross() int {
 	return n
 }
 
-// crossMsg is one message in a lookahead channel: a callback — or a packet
-// delivery (r/p set, fn nil) — bound for another cell, carrying the arrival
-// time and the order key its sending cell claimed for it. The packet variant
-// is the cross-shard envelope of the pooled path: no closure is boxed, and
-// the packet simply migrates to the destination cell (whose pool it will be
-// released into).
+// crossMsg is one message in a lookahead channel: an event bound for
+// another cell, carrying the arrival time and the order key its sending cell
+// claimed for it. A packet delivery boxes no closure: the packet simply
+// migrates to the destination cell (whose pool it will be released into).
 type crossMsg struct {
 	dst int32
 	at  time.Duration
 	key uint64
-	fn  func()
 	r   Receiver
 	p   *Packet
 }
 
-// Send schedules fn in cell dst's timeline at the sending cell's now+delay.
-// It must be called from within cell src's event execution (or during
-// setup, before any executor runs). The delay must be at least the mesh
-// lookahead; anything shorter would let the message arrive inside the
-// window its sender is still executing, which the conservative protocol
-// cannot order.
-func (m *Mesh) Send(src, dst int, delay time.Duration, fn func()) {
+// Send schedules the event r.Receive(p) in cell dst's timeline at the
+// sending cell's now+delay — a packet delivery, or a handler with a nil p as
+// in Sim.Schedule. It must be called from within cell src's event execution
+// (or during setup, before any executor runs). The delay must be at least
+// the mesh lookahead; anything shorter would let the message arrive inside
+// the window its sender is still executing, which the conservative protocol
+// cannot order. A packet must not be touched by the sending cell after the
+// call (ownership migrates with it).
+func (m *Mesh) Send(src, dst int, delay time.Duration, r Receiver, p *Packet) {
 	if delay < m.lookahead {
 		panic(fmt.Sprintf("netsim: cross-cell delay %v below mesh lookahead %v", delay, m.lookahead))
 	}
 	if dst < 0 || dst >= len(m.cells) {
 		panic(fmt.Sprintf("netsim: cross-cell send to unknown cell %d (mesh has %d)", dst, len(m.cells)))
 	}
+	if p != nil {
+		AssertLive(p, "Mesh.Send")
+	}
 	s := m.cells[src]
-	at := s.now + delay
-	key := s.nextKey()
+	msg := crossMsg{dst: int32(dst), at: s.now + delay, key: s.nextKey(), r: r, p: p}
 	if m.buffering {
-		s.outbox = append(s.outbox, crossMsg{dst: int32(dst), at: at, key: key, fn: fn})
+		s.outbox = append(s.outbox, msg)
 		return
 	}
-	m.deliver(crossMsg{dst: int32(dst), at: at, key: key, fn: fn})
-}
-
-// SendPacket is Send for a packet delivery: p arrives at Receiver r in cell
-// dst's timeline at now+delay, with no closure boxed into the channel. Same
-// preconditions as Send; the packet must not be touched by the sending cell
-// after the call (ownership migrates with it).
-func (m *Mesh) SendPacket(src, dst int, delay time.Duration, r Receiver, p *Packet) {
-	if delay < m.lookahead {
-		panic(fmt.Sprintf("netsim: cross-cell delay %v below mesh lookahead %v", delay, m.lookahead))
-	}
-	if dst < 0 || dst >= len(m.cells) {
-		panic(fmt.Sprintf("netsim: cross-cell send to unknown cell %d (mesh has %d)", dst, len(m.cells)))
-	}
-	AssertLive(p, "Mesh.SendPacket")
-	s := m.cells[src]
-	at := s.now + delay
-	key := s.nextKey()
-	if m.buffering {
-		s.outbox = append(s.outbox, crossMsg{dst: int32(dst), at: at, key: key, r: r, p: p})
-		return
-	}
-	m.deliver(crossMsg{dst: int32(dst), at: at, key: key, r: r, p: p})
+	m.deliver(msg)
 }
 
 // deliver pushes one channel message into its destination heap.
 func (m *Mesh) deliver(msg crossMsg) {
-	if msg.r != nil {
-		m.cells[msg.dst].pushKeyedPacket(msg.at, msg.key, msg.r, msg.p)
-	} else {
-		m.cells[msg.dst].pushKeyed(msg.at, msg.key, msg.fn)
-	}
+	m.cells[msg.dst].pushKeyed(msg.at, msg.key, msg.r, msg.p)
 	m.crossDelivered++
 }
 
@@ -188,7 +163,7 @@ func (m *Mesh) drain() {
 	for _, c := range m.cells {
 		for i := range c.outbox {
 			m.deliver(c.outbox[i])
-			c.outbox[i] = crossMsg{} // release the closure
+			c.outbox[i] = crossMsg{} // release the handler
 		}
 		c.outbox = c.outbox[:0]
 	}

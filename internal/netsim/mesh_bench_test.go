@@ -10,7 +10,7 @@ import (
 // and the alloc-ceiling pin: every cell runs a dense self-rescheduling timer
 // train with synthetic per-event protocol work, and every fifth event sends
 // a pooled packet to the next cell over the mesh. Cross-cell traffic rides
-// SendPacket — receiver + pooled packet, no closures — so the steady state
+// Mesh.Send with a receiver + pooled packet, no closures, so the steady state
 // exercises the PR 7 zero-alloc path end to end.
 func runMeshWorkload(b *testing.B, shards, work int) {
 	const (
@@ -55,13 +55,13 @@ func runMeshWorkload(b *testing.B, shards, work int) {
 				if counts[c]%5 == 0 {
 					dst := (c + 1) % cells
 					p := sim.NewPacket(c, counts[c], 1400, sim.Now(), 0)
-					m.SendPacket(c, dst, lookahead, recvs[dst], p)
+					m.Send(c, dst, lookahead, recvs[dst], p)
 				}
 				if sim.Now()+tick <= until {
-					sim.After(tick, step)
+					sim.After(tick, Func(step), nil)
 				}
 			}
-			sim.After(tick, step)
+			sim.After(tick, Func(step), nil)
 		}
 		if shards == 0 {
 			m.RunSingle(until)

@@ -26,10 +26,10 @@ import (
 
 // equivCell is the per-cell plumbing of one random topology.
 type equivCell struct {
-	link    netsim.Link         // fault-wrapped bottleneck
-	flink   *faults.Link        // the wrapper, for its counters (nil if no plan)
-	inner   *netsim.FixedLink   // the raw link, for Delivered/Lost
-	queue   netsim.Queue        //
+	link    netsim.Link       // fault-wrapped bottleneck
+	flink   *faults.Link      // the wrapper, for its counters (nil if no plan)
+	inner   *netsim.FixedLink // the raw link, for Delivered/Lost
+	queue   netsim.Queue      //
 	metrics []*netsim.FlowMetrics
 	log     []string
 }
@@ -118,7 +118,7 @@ func buildEquivTopology(rng *rand.Rand, m *Mesh, stop time.Duration) []*equivCel
 			if n > 1 && p.Flow/100 == i && p.Seq%3 == 0 {
 				dst := (i + 1 + int(p.Seq)%(n-1)) % n
 				pkt := p
-				m.Send(i, dst, fwdDelay[i], func() { cells[dst].link.Send(pkt) })
+				m.Send(i, dst, fwdDelay[i], netsim.Func(func() { cells[dst].link.Send(pkt) }), nil)
 			}
 		})
 		plan := randomFaultPlan(rng, stop)

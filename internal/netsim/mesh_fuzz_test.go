@@ -72,7 +72,7 @@ func buildFuzzWorkload(m *Mesh, rng *rand.Rand, until time.Duration, add func(ce
 	for i := 0; i < 10+rng.Intn(30); i++ {
 		cell := rng.Intn(n)
 		tag := fmt.Sprintf("one%d", i)
-		m.Cell(cell).Schedule(gridOr(), func() { add(cell, tag) })
+		m.Cell(cell).Schedule(gridOr(), Func(func() { add(cell, tag) }), nil)
 	}
 	for c := 0; c < 3+rng.Intn(6); c++ {
 		src := rng.Intn(n)
@@ -92,12 +92,12 @@ func buildFuzzWorkload(m *Mesh, rng *rand.Rand, until time.Duration, add func(ce
 			if hop.dst == cell {
 				// Same-cell step: a local event at exactly the lookahead
 				// horizon, racing any cross arrivals at that instant.
-				m.Cell(cell).After(hop.delay, func() { walk(cell, rest[1:]) })
+				m.Cell(cell).After(hop.delay, Func(func() { walk(cell, rest[1:]) }), nil)
 				return
 			}
-			m.Send(cell, hop.dst, hop.delay, func() { walk(hop.dst, rest[1:]) })
+			m.Send(cell, hop.dst, hop.delay, Func(func() { walk(hop.dst, rest[1:]) }), nil)
 		}
-		m.Cell(src).Schedule(start, func() { walk(src, hops) })
+		m.Cell(src).Schedule(start, Func(func() { walk(src, hops) }), nil)
 	}
 }
 

@@ -47,13 +47,13 @@ func meshCases() []meshCase {
 						return
 					}
 					next := (cell + 1) % m.Cells()
-					m.Send(cell, next, m.Lookahead(), func() { hop(next, n+1) })
+					m.Send(cell, next, m.Lookahead(), Func(func() { hop(next, n+1) }), nil)
 				}
-				m.Cell(0).Schedule(0, func() { hop(0, 0) })
+				m.Cell(0).Schedule(0, Func(func() { hop(0, 0) }), nil)
 				for k := 1; k <= 9; k++ {
 					at := time.Duration(k) * m.Lookahead()
 					cell := k % m.Cells()
-					m.Cell(cell).Schedule(at, func() { add(cell, "local") })
+					m.Cell(cell).Schedule(at, Func(func() { add(cell, "local") }), nil)
 				}
 			},
 		},
@@ -66,14 +66,14 @@ func meshCases() []meshCase {
 			lookahead: 7 * time.Millisecond,
 			until:     100 * time.Millisecond,
 			build: func(m *Mesh, _ time.Duration, add func(int, string)) {
-				m.Cell(0).Schedule(40*time.Millisecond, func() {
+				m.Cell(0).Schedule(40*time.Millisecond, Func(func() {
 					add(0, "fan")
 					for d := 1; d < m.Cells(); d++ {
 						dst := d
 						m.Send(0, dst, m.Lookahead()+time.Duration(dst)*time.Millisecond,
-							func() { add(dst, "leaf") })
+							Func(func() { add(dst, "leaf") }), nil)
 					}
-				})
+				}), nil)
 			},
 		},
 		{
@@ -87,14 +87,14 @@ func meshCases() []meshCase {
 			build: func(m *Mesh, until time.Duration, add func(int, string)) {
 				for i := 0; i < m.Cells(); i++ {
 					cell := i
-					m.Cell(cell).Schedule(until, func() {
+					m.Cell(cell).Schedule(until, Func(func() {
 						add(cell, "at-until")
 						// Arrival beyond `until`: must stay pending, not run.
-						m.Send(cell, (cell+1)%m.Cells(), m.Lookahead(), func() {
+						m.Send(cell, (cell+1)%m.Cells(), m.Lookahead(), Func(func() {
 							add((cell+1)%m.Cells(), "beyond-until")
-						})
-					})
-					m.Cell(cell).Schedule(0, func() { add(cell, "at-zero") })
+						}), nil)
+					}), nil)
+					m.Cell(cell).Schedule(0, Func(func() { add(cell, "at-zero") }), nil)
 				}
 			},
 		},
@@ -117,7 +117,7 @@ func meshCases() []meshCase {
 							if dst != cell {
 								n := tick
 								m.Send(cell, dst, m.Lookahead()+time.Millisecond,
-									func() { add(dst, fmt.Sprintf("from%d#%d", cell, n)) })
+									Func(func() { add(dst, fmt.Sprintf("from%d#%d", cell, n)) }), nil)
 							}
 						}
 					})
@@ -135,16 +135,16 @@ func meshCases() []meshCase {
 			build: func(m *Mesh, _ time.Duration, add func(int, string)) {
 				for i := 1; i < m.Cells(); i++ {
 					src := i
-					m.Cell(src).Schedule(10*time.Millisecond, func() {
+					m.Cell(src).Schedule(10*time.Millisecond, Func(func() {
 						for j := 0; j < 3; j++ {
 							n := j
-							m.Send(src, 0, 2*m.Lookahead(), func() {
+							m.Send(src, 0, 2*m.Lookahead(), Func(func() {
 								add(0, fmt.Sprintf("src%d#%d", src, n))
-							})
+							}), nil)
 						}
-					})
+					}), nil)
 				}
-				m.Cell(0).Schedule(30*time.Millisecond, func() { add(0, "local-competitor") })
+				m.Cell(0).Schedule(30*time.Millisecond, Func(func() { add(0, "local-competitor") }), nil)
 			},
 		},
 	}
@@ -236,7 +236,7 @@ func TestMeshExecutorEquivalence(t *testing.T) {
 func TestMeshNullMessageAdvance(t *testing.T) {
 	m := NewMesh(4, 10*time.Millisecond)
 	fired := false
-	m.Cell(0).Schedule(25*time.Millisecond, func() { fired = true })
+	m.Cell(0).Schedule(25*time.Millisecond, Func(func() { fired = true }), nil)
 	m.RunSharded(95*time.Millisecond, 4)
 	if !fired {
 		t.Fatal("scheduled event did not fire")
@@ -278,15 +278,15 @@ func TestMeshConstructionRejections(t *testing.T) {
 	mustPanic("negative-lookahead", "zero-delay", func() { NewMesh(2, -time.Second) })
 	mustPanic("sub-lookahead-delay", "below mesh lookahead", func() {
 		m := NewMesh(2, 10*time.Millisecond)
-		m.Send(0, 1, 9*time.Millisecond, func() {})
+		m.Send(0, 1, 9*time.Millisecond, Func(func() {}), nil)
 	})
 	mustPanic("unknown-dst", "unknown cell", func() {
 		m := NewMesh(2, time.Millisecond)
-		m.Send(0, 2, time.Millisecond, func() {})
+		m.Send(0, 2, time.Millisecond, Func(func() {}), nil)
 	})
 	mustPanic("negative-dst", "unknown cell", func() {
 		m := NewMesh(2, time.Millisecond)
-		m.Send(0, -1, time.Millisecond, func() {})
+		m.Send(0, -1, time.Millisecond, Func(func() {}), nil)
 	})
 	mustPanic("zero-shards", "shard count", func() {
 		NewMesh(2, time.Millisecond).RunSharded(time.Second, 0)
@@ -310,7 +310,7 @@ func TestMeshWatchdog(t *testing.T) {
 			n++
 			if n%5 == 0 {
 				dst := (cell + 1) % m.Cells()
-				m.Send(cell, dst, lookahead, func() {})
+				m.Send(cell, dst, lookahead, Func(func() {}), nil)
 			}
 		})
 	}
@@ -364,7 +364,7 @@ func TestMeshWatchdog(t *testing.T) {
 func TestMeshShardClamp(t *testing.T) {
 	m := NewMesh(2, time.Millisecond)
 	ran := false
-	m.Cell(1).Schedule(500*time.Microsecond, func() { ran = true })
+	m.Cell(1).Schedule(500*time.Microsecond, Func(func() { ran = true }), nil)
 	m.RunSharded(2*time.Millisecond, 64)
 	if !ran {
 		t.Fatal("event lost under shard clamp")

@@ -60,11 +60,11 @@ func TestPacketPathZeroAllocs(t *testing.T) {
 	// 100 Mbps link, 1400 B every 150 µs ≈ 74.7 Mbps offered: under capacity.
 	link := NewFixedLink(sim, q, 100, time.Millisecond, release, 1)
 	seq := int64(0)
-	stop := sim.Every(150*time.Microsecond, func() {
+	timer := sim.Every(150*time.Microsecond, func() {
 		link.Send(sim.NewPacket(1, seq, 1400, sim.Now(), 0))
 		seq++
 	})
-	defer stop()
+	defer timer.Stop()
 	sim.Run(200 * time.Millisecond) // warm heap, ring, and pool
 	next := sim.Now()
 	allocs := testing.AllocsPerRun(100, func() {

@@ -11,10 +11,12 @@ package netsim
 
 import "time"
 
-// event is a scheduled callback. One-shot events carry fn; recurring events
-// carry a timer and reschedule themselves when they fire, so an Every tick
-// reuses one timer allocation for the lifetime of the timer instead of
-// growing a closure chain.
+// event is one pending heap entry: at its time it fires as r.Receive(p).
+// Every kind of work shares this one shape — a packet delivery (r a
+// component, p the packet), a plain closure (r a Func, p nil), a registered
+// one-shot callback (r a *Callback) or a recurring tick (r a *Timer, which
+// re-pushes itself when it fires). What a checkpoint can serialize follows
+// from r's type (see snapshot.go); the hot path never asks.
 type event struct {
 	at time.Duration
 	// seq is the same-time tiebreaker: FIFO among same-time events. In a
@@ -26,21 +28,18 @@ type event struct {
 	// merged single-heap run and the sharded run order every event by the
 	// exact same (at, seq) pair.
 	seq uint64
-	fn  func()
-	// fid is the registry id of fn when the callback was scheduled through
-	// a tagged path (see snapshot.go). Zero means unregistered: the event
-	// still fires normally, but a checkpoint cannot serialize it. Only the
-	// snapshot encoder reads fid — the hot path never touches it.
-	fid int64
-	t   *timer // non-nil for recurring events; fn is nil then
-	// r/p carry a packet delivery without boxing a closure: the event fires
-	// as r.Receive(p). Packet deliveries dominate the hot path, so giving
-	// them a closure-free representation is what makes the steady state
-	// allocation-free (the pooled Packet is recycled, the Receiver is a
-	// long-lived component).
-	r Receiver
-	p *Packet
+	r   Receiver
+	p   *Packet
 }
+
+// Func adapts a plain closure to a Receiver, ignoring the packet. A Func is
+// unregistered by type: the event fires normally, but a checkpoint with one
+// pending fails (use RegisterFunc for events that must survive one).
+// Converting a func value to Receiver does not allocate.
+type Func func()
+
+// Receive implements Receiver.
+func (f Func) Receive(*Packet) { f() }
 
 // cellSeqBits is the width of the cell-local counter inside a composite
 // order key: 2^44 ≈ 1.7e13 events per cell before overflow, with the
@@ -71,15 +70,33 @@ func orderKeyParts(key uint64) (cell uint32, seq uint64) {
 	return uint32(key >> cellSeqBits), key & cellSeqMask
 }
 
-// timer is the Sim-owned state of one Every registration. id is the
-// registry id under which snapshot-aware components registered the timer
-// (zero for plain Every registrations, which cannot be checkpointed).
-type timer struct {
+// Timer is one recurring registration: a Receiver that runs fn and then
+// re-pushes itself interval later with a fresh order key, so a tick reuses
+// one object for the registration's lifetime. id is its registry id (zero
+// for plain Every timers, which cannot be checkpointed).
+type Timer struct {
+	sim      *Sim
 	interval time.Duration
 	fn       func()
 	stopped  bool
 	id       int64
 }
+
+// Receive implements Receiver: fire, then reschedule. The fresh key is
+// claimed after fn runs, so events fn schedules at the next tick's instant
+// precede the tick (same-time FIFO).
+func (t *Timer) Receive(*Packet) {
+	if t.stopped {
+		return
+	}
+	t.fn()
+	if !t.stopped {
+		t.sim.After(t.interval, t, nil)
+	}
+}
+
+// Stop ends the registration: a pending tick drains without firing.
+func (t *Timer) Stop() { t.stopped = true }
 
 // eventLess orders events by (time, insertion sequence) — a strict total
 // order, so the pop sequence is identical for any heap arity or layout.
@@ -142,7 +159,7 @@ func (s *Sim) push(e event) {
 
 // pop removes and returns the earliest event, sifting the displaced tail
 // element down. The vacated slot is zeroed so the slice does not pin the
-// callback (and whatever it closes over) after the event has fired.
+// handler (and whatever it closes over) after the event has fired.
 func (s *Sim) pop() event {
 	ev := s.events[0]
 	last := len(s.events) - 1
@@ -185,91 +202,46 @@ func (s *Sim) nextKey() uint64 {
 // order key was already claimed by the sending cell. The key travels with
 // the message, so the insertion moment — immediate in the merged reference
 // executor, barrier-deferred in the sharded one — never affects ordering.
-func (s *Sim) pushKeyed(at time.Duration, key uint64, fn func()) {
-	s.push(event{at: at, seq: key, fn: fn})
-}
-
-// pushKeyedPacket is pushKeyed for a packet delivery: the event fires as
-// r.Receive(p) with no closure.
-func (s *Sim) pushKeyedPacket(at time.Duration, key uint64, r Receiver, p *Packet) {
+func (s *Sim) pushKeyed(at time.Duration, key uint64, r Receiver, p *Packet) {
 	s.push(event{at: at, seq: key, r: r, p: p})
 }
 
-// SchedulePacket delivers p to r at the given absolute simulated time,
-// without allocating a closure. Times in the past are clamped to now, same
-// as Schedule.
-func (s *Sim) SchedulePacket(at time.Duration, r Receiver, p *Packet) {
+// Schedule delivers p to r at the given absolute simulated time; r is a
+// component for a packet delivery, or a Func, *Callback or *Timer handler
+// with a nil p. Times in the past are clamped to now (the event runs next).
+func (s *Sim) Schedule(at time.Duration, r Receiver, p *Packet) {
 	if at < s.now {
 		at = s.now
 	}
 	s.push(event{at: at, seq: s.nextKey(), r: r, p: p})
 }
 
-// SchedulePacketAfter delivers p to r d from now.
-func (s *Sim) SchedulePacketAfter(d time.Duration, r Receiver, p *Packet) {
-	s.SchedulePacket(s.now+d, r, p)
-}
-
-// Schedule runs fn at the given absolute simulated time. Times in the past
-// are clamped to now (the event runs next).
-func (s *Sim) Schedule(at time.Duration, fn func()) {
-	if at < s.now {
-		at = s.now
-	}
-	s.push(event{at: at, seq: s.nextKey(), fn: fn})
-}
-
-// After runs fn d from now.
-func (s *Sim) After(d time.Duration, fn func()) { s.Schedule(s.now+d, fn) }
-
-// scheduleTagged is Schedule with the callback's registry id attached, so a
-// checkpoint can serialize the pending event. Key claiming is identical to
-// Schedule — tagging never moves a digest.
-func (s *Sim) scheduleTagged(at time.Duration, id int64, fn func()) {
-	if at < s.now {
-		at = s.now
-	}
-	s.push(event{at: at, seq: s.nextKey(), fn: fn, fid: id})
-}
-
-// afterTagged is After with the callback's registry id attached.
-func (s *Sim) afterTagged(d time.Duration, id int64, fn func()) {
-	s.scheduleTagged(s.now+d, id, fn)
-}
+// After delivers p to r d from now.
+func (s *Sim) After(d time.Duration, r Receiver, p *Packet) { s.Schedule(s.now+d, r, p) }
 
 // Every runs fn every interval, starting one interval from now, until the
-// returned stop function is called. The registration is one timer object
-// for its whole lifetime: each firing reschedules the same entry, so
-// steady-state ticking allocates nothing.
-func (s *Sim) Every(interval time.Duration, fn func()) (stop func()) {
-	if interval <= 0 {
-		panic("netsim: Every interval must be positive")
-	}
-	t := &timer{interval: interval, fn: fn}
-	s.push(event{at: s.now + interval, seq: s.nextKey(), t: t})
-	return func() { t.stopped = true }
+// returned timer is stopped. Steady-state ticking allocates nothing.
+func (s *Sim) Every(interval time.Duration, fn func()) *Timer {
+	t := s.newTimer(0, interval, fn)
+	s.After(interval, t, nil)
+	return t
 }
 
-// everyTagged is Every with the timer registered under id in this Sim's
-// snapshot registry, making its pending tick serializable. Key claiming is
-// identical to Every.
-func (s *Sim) everyTagged(id int64, interval time.Duration, fn func()) (stop func()) {
+// newTimer creates a timer without arming it, registered under id when id
+// is non-zero. A component arms its registered timer with After(interval,
+// t, nil); a restore leaves it unarmed, since the pending tick, if any,
+// arrives with the heap.
+func (s *Sim) newTimer(id int64, interval time.Duration, fn func()) *Timer {
 	if interval <= 0 {
 		panic("netsim: Every interval must be positive")
 	}
-	t := &timer{interval: interval, fn: fn, id: id}
-	s.reg.registerTimer(id, t)
-	s.push(event{at: s.now + interval, seq: s.nextKey(), t: t})
-	return func() { t.stopped = true }
+	t := &Timer{sim: s, interval: interval, fn: fn, id: id}
+	s.reg.registerTimer(t)
+	return t
 }
 
 // Run processes events in time order until the queue empties or the next
 // event is beyond `until`, then advances the clock to `until`.
-//
-// A recurring event fires its timer's callback first and reschedules after,
-// claiming a fresh sequence number at that point — the same ordering the
-// previous closure-chain Every produced, so same-time FIFO behavior is
-// unchanged.
 func (s *Sim) Run(until time.Duration) {
 	for len(s.events) > 0 && s.events[0].at <= until {
 		s.step()
@@ -280,27 +252,10 @@ func (s *Sim) Run(until time.Duration) {
 }
 
 // step pops and executes the earliest event, advancing the clock to it.
-// Recurring timers reschedule themselves with a fresh order key, exactly as
-// the inline loop in Run used to.
 func (s *Sim) step() {
 	e := s.pop()
 	s.now = e.at
-	if e.t != nil {
-		t := e.t
-		if t.stopped {
-			return
-		}
-		t.fn()
-		if !t.stopped {
-			s.push(event{at: s.now + t.interval, seq: s.nextKey(), t: t})
-		}
-		return
-	}
-	if e.r != nil {
-		e.r.Receive(e.p)
-		return
-	}
-	e.fn()
+	e.r.Receive(e.p)
 }
 
 // headBefore reports whether the earliest pending event falls strictly

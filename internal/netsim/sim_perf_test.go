@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // refHeap is the pre-PR2 event heap, verbatim: container/heap over a slice
@@ -74,6 +75,15 @@ func TestHeapMatchesContainerHeap(t *testing.T) {
 	}
 }
 
+// TestEventSize pins the one event shape at 40 bytes (time, order key, a
+// two-word handler, a packet pointer): every sift moves whole events, so a
+// new field is a cost on every push and pop, not only a line of code.
+func TestEventSize(t *testing.T) {
+	if got := unsafe.Sizeof(event{}); got != 40 {
+		t.Fatalf("event is %d bytes, want 40", got)
+	}
+}
+
 // TestScheduleZeroAllocs asserts the steady-state schedule/run cycle
 // allocates nothing: pushing into warmed slice capacity and popping must not
 // touch the allocator (the old container/heap boxed every event).
@@ -82,13 +92,13 @@ func TestScheduleZeroAllocs(t *testing.T) {
 	fn := func() {}
 	// Warm the slice capacity past anything the loop below reaches.
 	for i := 0; i < 256; i++ {
-		s.Schedule(time.Duration(i), fn)
+		s.Schedule(time.Duration(i), Func(fn), nil)
 	}
 	s.Run(time.Duration(256))
 	next := time.Duration(256)
 	allocs := testing.AllocsPerRun(1000, func() {
 		next++
-		s.Schedule(next, fn)
+		s.Schedule(next, Func(fn), nil)
 		s.Run(next)
 	})
 	if allocs != 0 {
@@ -102,8 +112,8 @@ func TestScheduleZeroAllocs(t *testing.T) {
 func TestEveryTickZeroAllocs(t *testing.T) {
 	s := NewSim()
 	ticks := 0
-	stop := s.Every(time.Millisecond, func() { ticks++ })
-	defer stop()
+	timer := s.Every(time.Millisecond, func() { ticks++ })
+	defer timer.Stop()
 	s.Run(10 * time.Millisecond) // warm
 	until := 10 * time.Millisecond
 	allocs := testing.AllocsPerRun(1000, func() {
@@ -124,12 +134,12 @@ func TestEveryTickZeroAllocs(t *testing.T) {
 func TestEveryStopReleasesEntry(t *testing.T) {
 	s := NewSim()
 	ticks := 0
-	stop := s.Every(time.Millisecond, func() { ticks++ })
+	timer := s.Every(time.Millisecond, func() { ticks++ })
 	s.Run(3 * time.Millisecond)
 	if ticks != 3 {
 		t.Fatalf("ticks = %d, want 3", ticks)
 	}
-	stop()
+	timer.Stop()
 	s.Run(10 * time.Millisecond)
 	if ticks != 3 {
 		t.Errorf("ticks after stop = %d, want 3", ticks)
@@ -144,11 +154,11 @@ func TestEveryStopReleasesEntry(t *testing.T) {
 func TestEveryStopFromCallback(t *testing.T) {
 	s := NewSim()
 	ticks := 0
-	var stop func()
-	stop = s.Every(time.Millisecond, func() {
+	var timer *Timer
+	timer = s.Every(time.Millisecond, func() {
 		ticks++
 		if ticks == 2 {
-			stop()
+			timer.Stop()
 		}
 	})
 	s.Run(10 * time.Millisecond)

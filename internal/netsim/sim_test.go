@@ -9,9 +9,9 @@ import (
 func TestSimOrdering(t *testing.T) {
 	s := NewSim()
 	var order []int
-	s.Schedule(20*time.Millisecond, func() { order = append(order, 2) })
-	s.Schedule(10*time.Millisecond, func() { order = append(order, 1) })
-	s.Schedule(30*time.Millisecond, func() { order = append(order, 3) })
+	s.Schedule(20*time.Millisecond, Func(func() { order = append(order, 2) }), nil)
+	s.Schedule(10*time.Millisecond, Func(func() { order = append(order, 1) }), nil)
+	s.Schedule(30*time.Millisecond, Func(func() { order = append(order, 3) }), nil)
 	s.Run(time.Second)
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Fatalf("order = %v", order)
@@ -26,7 +26,7 @@ func TestSimFIFOAmongSimultaneous(t *testing.T) {
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
-		s.Schedule(time.Millisecond, func() { order = append(order, i) })
+		s.Schedule(time.Millisecond, Func(func() { order = append(order, i) }), nil)
 	}
 	s.Run(time.Second)
 	for i, v := range order {
@@ -44,19 +44,19 @@ func TestSimPastClampKeepsFIFO(t *testing.T) {
 	s := NewSim()
 	var order []string
 	add := func(tag string) func() { return func() { order = append(order, tag) } }
-	s.Schedule(10*time.Millisecond, func() {
+	s.Schedule(10*time.Millisecond, Func(func() {
 		order = append(order, "a")
 		// In the past: must clamp to now (10 ms) and queue behind b and c.
-		s.Schedule(3*time.Millisecond, func() {
+		s.Schedule(3*time.Millisecond, Func(func() {
 			order = append(order, "past")
 			if s.Now() != 10*time.Millisecond {
 				t.Errorf("clamped event fired at %v, want 10ms", s.Now())
 			}
-		})
-	})
-	s.Schedule(10*time.Millisecond, add("b"))
-	s.Schedule(10*time.Millisecond, add("c"))
-	s.Schedule(15*time.Millisecond, add("later"))
+		}), nil)
+	}), nil)
+	s.Schedule(10*time.Millisecond, Func(add("b")), nil)
+	s.Schedule(10*time.Millisecond, Func(add("c")), nil)
+	s.Schedule(15*time.Millisecond, Func(add("later")), nil)
 	s.Run(time.Second)
 	want := []string{"a", "b", "c", "past", "later"}
 	if len(order) != len(want) {
@@ -75,13 +75,13 @@ func TestSimPastClampKeepsFIFO(t *testing.T) {
 func TestSimSameTimeSeqOrderAcrossSources(t *testing.T) {
 	s := NewSim()
 	var order []int
-	s.Schedule(5*time.Millisecond, func() { order = append(order, 0) })
-	s.After(5*time.Millisecond, func() { order = append(order, 1) })
-	s.Schedule(5*time.Millisecond, func() {
+	s.Schedule(5*time.Millisecond, Func(func() { order = append(order, 0) }), nil)
+	s.After(5*time.Millisecond, Func(func() { order = append(order, 1) }), nil)
+	s.Schedule(5*time.Millisecond, Func(func() {
 		order = append(order, 2)
-		s.After(0, func() { order = append(order, 3) }) // same instant, fresh seq
-	})
-	s.Schedule(5*time.Millisecond, func() { order = append(order, 4) })
+		s.After(0, Func(func() { order = append(order, 3) }), nil) // same instant, fresh seq
+	}), nil)
+	s.Schedule(5*time.Millisecond, Func(func() { order = append(order, 4) }), nil)
 	s.Run(time.Second)
 	want := []int{0, 1, 2, 4, 3}
 	if len(order) != len(want) {
@@ -97,9 +97,9 @@ func TestSimSameTimeSeqOrderAcrossSources(t *testing.T) {
 func TestSimPastEventsClamped(t *testing.T) {
 	s := NewSim()
 	fired := false
-	s.Schedule(10*time.Millisecond, func() {
-		s.Schedule(time.Millisecond, func() { fired = true }) // in the past
-	})
+	s.Schedule(10*time.Millisecond, Func(func() {
+		s.Schedule(time.Millisecond, Func(func() { fired = true }), nil) // in the past
+	}), nil)
 	s.Run(20 * time.Millisecond)
 	if !fired {
 		t.Fatal("past-scheduled event never fired")
@@ -109,7 +109,7 @@ func TestSimPastEventsClamped(t *testing.T) {
 func TestSimRunStopsAtLimit(t *testing.T) {
 	s := NewSim()
 	fired := false
-	s.Schedule(2*time.Second, func() { fired = true })
+	s.Schedule(2*time.Second, Func(func() { fired = true }), nil)
 	s.Run(time.Second)
 	if fired {
 		t.Fatal("event beyond limit fired")
@@ -126,9 +126,9 @@ func TestSimRunStopsAtLimit(t *testing.T) {
 func TestSimAfter(t *testing.T) {
 	s := NewSim()
 	var at time.Duration
-	s.Schedule(10*time.Millisecond, func() {
-		s.After(5*time.Millisecond, func() { at = s.Now() })
-	})
+	s.Schedule(10*time.Millisecond, Func(func() {
+		s.After(5*time.Millisecond, Func(func() { at = s.Now() }), nil)
+	}), nil)
 	s.Run(time.Second)
 	if at != 15*time.Millisecond {
 		t.Fatalf("After fired at %v, want 15ms", at)
@@ -138,11 +138,11 @@ func TestSimAfter(t *testing.T) {
 func TestSimEvery(t *testing.T) {
 	s := NewSim()
 	count := 0
-	var stop func()
-	stop = s.Every(10*time.Millisecond, func() {
+	var timer *Timer
+	timer = s.Every(10*time.Millisecond, func() {
 		count++
 		if count == 5 {
-			stop()
+			timer.Stop()
 		}
 	})
 	s.Run(time.Second)
@@ -168,12 +168,12 @@ func TestQuickSimMonotoneTime(t *testing.T) {
 		ok := true
 		for _, d := range delays {
 			at := time.Duration(d) * time.Microsecond
-			s.Schedule(at, func() {
+			s.Schedule(at, Func(func() {
 				if s.Now() < last {
 					ok = false
 				}
 				last = s.Now()
-			})
+			}), nil)
 		}
 		s.Run(time.Hour)
 		return ok

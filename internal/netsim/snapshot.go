@@ -1,9 +1,9 @@
 package netsim
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
-	"time"
 
 	"repro/internal/snap"
 	"repro/internal/stats"
@@ -23,29 +23,55 @@ import (
 // Heap array layout is irrelevant: (time, key) is a strict total order, so
 // any valid heap pops the identical event sequence.
 //
-// Id discipline: construction-time registrations draw ids from a per-Sim
-// counter (nextID), which both the original run and the rebuild advance
-// identically. Objects created mid-run (a Source's timers, armed when its
-// start event fires) must NOT draw from the counter — mid-run draw order
-// would depend on event interleaving across components. They instead derive
-// ids from their owner's construction-time id and a fixed slot (derivedID),
-// making every id a pure function of the topology.
+// Whether an event can be checkpointed is a property of its handler's type:
+// a *Callback or registered *Timer carries its registry id, a packet
+// delivery's receiver is looked up by identity, and a Func (or a plain
+// Every timer) carries none, so a snapshot with one pending fails.
+//
+// Id discipline: registrations draw ids from a per-Sim counter (nextID),
+// which both the original run and the rebuild advance identically, so ids
+// are drawn during topology setup only — a mid-run draw order would depend
+// on event interleaving across components. A component's timers are created
+// at construction, unarmed, under ids derived from the component's own id
+// and a fixed slot (derivedID); they draw nothing, so adding one never
+// shifts another component's ids.
 
 // Snapshotter is the component checkpoint interface: Snapshot appends the
 // component's mutable state, Restore consumes the same fields in the same
 // order, recording failures on the decoder.
 type Snapshotter = snap.Snapshotter
 
-// simRegistry maps stable ids to the long-lived objects heap entries
-// reference. Receivers, callbacks, and timers live in separate namespaces,
-// so ids may repeat across kinds but never within one.
+// simRegistry maps stable ids to the long-lived handlers heap entries
+// reference, for restore to resolve. Receivers, callbacks, and timers live
+// in separate namespaces, so ids may repeat across kinds but never within
+// one.
 type simRegistry struct {
 	nextID  int64
-	funcs   map[int64]func()
+	funcs   map[int64]*Callback
 	recvs   map[int64]Receiver
 	recvIDs map[Receiver]int64
-	timers  map[int64]*timer
+	timers  map[int64]*Timer
 }
+
+// Callback is a registered one-shot handler: scheduled with Schedule or
+// After (nil packet), it runs fn, and a checkpoint serializes the pending
+// event by the id it carries.
+type Callback struct {
+	fn func()
+	id int64
+}
+
+// Receive implements Receiver.
+func (c *Callback) Receive(*Packet) { c.fn() }
+
+// Named RestoreHeap rejections of heap sections a snapshot encoder never
+// writes; a crafted but CRC-valid file must fail here, not at the next Run.
+var (
+	// ErrPacketAbsent: a packet-delivery event whose packet is missing.
+	ErrPacketAbsent = errors.New("netsim: heap packet delivery has no packet")
+	// ErrEventInPast: an event due before the restored clock.
+	ErrEventInPast = errors.New("netsim: heap event due before the restored clock")
+)
 
 // derivedID composes an owner's construction-time id with a fixed slot into
 // a mid-run-safe registry id. Derived ids are negative; counter-drawn ids
@@ -57,27 +83,17 @@ func derivedID(owner, slot int64) int64 {
 	return -(owner<<4 | slot)
 }
 
-func (r *simRegistry) registerFunc(id int64, fn func()) {
-	if r.funcs == nil {
-		r.funcs = make(map[int64]func())
-	}
-	if _, dup := r.funcs[id]; dup {
-		panic(fmt.Sprintf("netsim: duplicate callback registration id %d", id))
-	}
-	r.funcs[id] = fn
-}
-
-func (r *simRegistry) registerTimer(id int64, t *timer) {
-	if id == 0 {
+func (r *simRegistry) registerTimer(t *Timer) {
+	if t.id == 0 {
 		return // plain Every: unregistered, not checkpointable
 	}
 	if r.timers == nil {
-		r.timers = make(map[int64]*timer)
+		r.timers = make(map[int64]*Timer)
 	}
-	if _, dup := r.timers[id]; dup {
-		panic(fmt.Sprintf("netsim: duplicate timer registration id %d", id))
+	if _, dup := r.timers[t.id]; dup {
+		panic(fmt.Sprintf("netsim: duplicate timer registration id %d", t.id))
 	}
-	r.timers[id] = t
+	r.timers[t.id] = t
 }
 
 func (r *simRegistry) registerRecv(id int64, rcv Receiver) {
@@ -118,51 +134,23 @@ func (s *Sim) RegisterReceiver(r Receiver) int64 {
 	return id
 }
 
-// RegisterFunc registers a long-lived callback under a construction-order id
-// and returns the id for use with AfterRegistered. Call it once per callback
-// at construction time and keep the id — each call draws a fresh id.
-func (s *Sim) RegisterFunc(fn func()) int64 {
-	id := s.nextID()
-	s.reg.registerFunc(id, fn)
-	return id
-}
-
-// ScheduleTracked is Schedule for setup-time one-shot closures that must
-// survive a checkpoint: the closure is registered under a fresh
-// construction-order id and scheduled tagged with it. Key claiming is
-// identical to Schedule.
-func (s *Sim) ScheduleTracked(at time.Duration, fn func()) {
-	id := s.nextID()
-	s.reg.registerFunc(id, fn)
-	s.scheduleTagged(at, id, fn)
-}
-
-// AfterRegistered schedules the callback previously registered under id to
-// run d from now. It is the mid-run scheduling primitive for snapshot-aware
-// components: the callback was registered at construction, so the pending
-// event serializes by id.
-func (s *Sim) AfterRegistered(d time.Duration, id int64) {
-	fn, ok := s.reg.funcs[id]
-	if !ok {
-		panic(fmt.Sprintf("netsim: AfterRegistered with unknown callback id %d", id))
+// RegisterFunc registers a long-lived callback under a fresh construction-
+// order id and returns its handle; schedule the handle (with a nil packet)
+// as often as needed. Call it at construction time — each call draws an id.
+func (s *Sim) RegisterFunc(fn func()) *Callback {
+	c := &Callback{fn: fn, id: s.nextID()}
+	if s.reg.funcs == nil {
+		s.reg.funcs = make(map[int64]*Callback)
 	}
-	s.afterTagged(d, id, fn)
-}
-
-// restoreTimer re-creates a component's timer during Restore: the timer is
-// registered under id so heap restore can resolve pending tick events, but
-// nothing is pushed — the pending tick, if any, arrives with the heap.
-func (s *Sim) restoreTimer(id int64, interval time.Duration, fn func(), stopped bool) (stop func()) {
-	t := &timer{interval: interval, fn: fn, stopped: stopped, id: id}
-	s.reg.registerTimer(id, t)
-	return func() { t.stopped = true }
+	s.reg.funcs[c.id] = c
+	return c
 }
 
 // SnapshotState writes this Sim's core mutable state: virtual clock, order-
 // key counter, registry id counter, and packet-pool accounting. The event
 // heap is snapshotted separately (SnapshotHeap) because restore must happen
-// in two phases: core state and components first — re-registering mid-run
-// timers — then the heap, which resolves ids against the registry.
+// in two phases: core state and components first, then the heap, which
+// resolves ids against the registry.
 func (s *Sim) SnapshotState(e *snap.Encoder) {
 	e.Tag("simcore")
 	e.Dur(s.now)
@@ -225,9 +213,10 @@ const (
 )
 
 // SnapshotHeap serializes every pending event. Each entry keeps its exact
-// (time, order key) pair; callbacks serialize as registry ids, packet
-// deliveries as (receiver id, packet fields). An event whose callback or
-// receiver was never registered fails the snapshot with a named error — a
+// (time, order key) pair; callbacks and timers serialize as the registry ids
+// they carry, packet deliveries as (receiver id, packet fields). An event
+// whose handler type carries no id — a Func, a plain Every timer, an
+// unregistered receiver — fails the snapshot with a named error: a
 // checkpoint either captures everything or nothing.
 func (s *Sim) SnapshotHeap(e *snap.Encoder) {
 	e.Tag("heap")
@@ -236,42 +225,43 @@ func (s *Sim) SnapshotHeap(e *snap.Encoder) {
 		ev := &s.events[i]
 		e.Dur(ev.at)
 		e.U64(ev.seq)
-		switch {
-		case ev.t != nil:
+		switch h := ev.r.(type) {
+		case *Timer:
 			e.U8(snapEvTimer)
-			if ev.t.id == 0 {
+			if h.id == 0 {
 				e.Fail(fmt.Errorf("netsim: pending timer at %v was created with Every, not a snapshot-aware registration", ev.at))
 				return
 			}
-			e.I64(ev.t.id)
-		case ev.r != nil:
+			e.I64(h.id)
+		case *Callback:
+			e.U8(snapEvFunc)
+			e.I64(h.id)
+		case Func:
+			e.Fail(fmt.Errorf("netsim: pending callback at %v is a plain Func and cannot be checkpointed", ev.at))
+			return
+		default:
 			e.U8(snapEvPacket)
-			if !reflect.TypeOf(ev.r).Comparable() {
-				e.Fail(fmt.Errorf("netsim: pending delivery at %v targets unregistrable receiver %T", ev.at, ev.r))
+			if !reflect.TypeOf(h).Comparable() {
+				e.Fail(fmt.Errorf("netsim: pending delivery at %v targets unregistrable receiver %T", ev.at, h))
 				return
 			}
-			id, ok := s.reg.recvIDs[ev.r]
+			id, ok := s.reg.recvIDs[h]
 			if !ok {
-				e.Fail(fmt.Errorf("netsim: pending delivery at %v targets unregistered receiver %T", ev.at, ev.r))
+				e.Fail(fmt.Errorf("netsim: pending delivery at %v targets unregistered receiver %T", ev.at, h))
 				return
 			}
 			e.I64(id)
 			SnapshotPacket(e, ev.p)
-		default:
-			e.U8(snapEvFunc)
-			if ev.fid == 0 {
-				e.Fail(fmt.Errorf("netsim: pending callback at %v was scheduled untagged and cannot be checkpointed", ev.at))
-				return
-			}
-			e.I64(ev.fid)
 		}
 	}
 }
 
 // RestoreHeap pushes the snapshot's events into the (cleared) heap,
-// resolving every id against the registry the rebuild and the component
-// restores populated. Pushing re-sifts, but since (time, key) is a strict
-// total order the pop sequence is independent of heap layout.
+// resolving every id against the registry the rebuild populated. Pushing
+// re-sifts, but since (time, key) is a strict total order the pop sequence
+// is independent of heap layout. It fails closed on what no encoder writes:
+// an event before the restored clock (ErrEventInPast) or a packet delivery
+// without its packet (ErrPacketAbsent).
 func (s *Sim) RestoreHeap(d *snap.Decoder) {
 	d.Expect("heap")
 	n := int(d.U32())
@@ -279,42 +269,50 @@ func (s *Sim) RestoreHeap(d *snap.Decoder) {
 		at := d.Dur()
 		seq := d.U64()
 		kind := d.U8()
+		id := d.I64()
 		if d.Err() != nil {
 			return
 		}
+		if at < s.now {
+			d.Fail(fmt.Errorf("%w: event at %v, clock %v", ErrEventInPast, at, s.now))
+			return
+		}
+		var r Receiver
+		var p *Packet
 		switch kind {
 		case snapEvTimer:
-			id := d.I64()
 			t, ok := s.reg.timers[id]
 			if !ok {
-				d.Fail(fmt.Errorf("netsim: heap references timer id %d, which no component restored", id))
+				d.Fail(fmt.Errorf("netsim: heap references timer id %d, which the rebuild did not register", id))
 				return
 			}
-			s.push(event{at: at, seq: seq, t: t})
+			r = t
 		case snapEvPacket:
-			id := d.I64()
-			r, ok := s.reg.recvs[id]
+			rcv, ok := s.reg.recvs[id]
 			if !ok {
 				d.Fail(fmt.Errorf("netsim: heap references receiver id %d, which the rebuild did not register", id))
 				return
 			}
-			p := RestorePacket(d)
+			r, p = rcv, RestorePacket(d)
 			if d.Err() != nil {
 				return
 			}
-			s.push(event{at: at, seq: seq, r: r, p: p})
+			if p == nil {
+				d.Fail(fmt.Errorf("%w: delivery to receiver id %d at %v", ErrPacketAbsent, id, at))
+				return
+			}
 		case snapEvFunc:
-			id := d.I64()
-			fn, ok := s.reg.funcs[id]
+			c, ok := s.reg.funcs[id]
 			if !ok {
 				d.Fail(fmt.Errorf("netsim: heap references callback id %d, which the rebuild did not register", id))
 				return
 			}
-			s.push(event{at: at, seq: seq, fn: fn, fid: id})
+			r = c
 		default:
 			d.Fail(fmt.Errorf("netsim: unknown heap event kind %d", kind))
 			return
 		}
+		s.push(event{at: at, seq: seq, r: r, p: p})
 	}
 }
 
@@ -436,7 +434,7 @@ func (m *Mesh) SnapshotHeaps(e *snap.Encoder) {
 }
 
 // RestoreHeaps restores every cell's pending events; call it after every
-// component's Restore has re-registered its timers.
+// component's Restore.
 func (m *Mesh) RestoreHeaps(d *snap.Decoder) {
 	d.Expect("meshheaps")
 	for _, c := range m.cells {

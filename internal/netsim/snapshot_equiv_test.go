@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -20,12 +21,12 @@ type snapWindow struct {
 	acks int
 }
 
-func (f *snapWindow) Name() string                            { return "snapfixed" }
-func (f *snapWindow) OnAck(_ time.Duration, _ cc.AckSample)   { f.acks++ }
-func (f *snapWindow) OnLoss(_ time.Duration, _ cc.LossEvent)  {}
-func (f *snapWindow) OnTimeout(time.Duration)                 {}
-func (f *snapWindow) TickInterval() time.Duration             { return 0 }
-func (f *snapWindow) Tick(time.Duration)                      {}
+func (f *snapWindow) Name() string                           { return "snapfixed" }
+func (f *snapWindow) OnAck(_ time.Duration, _ cc.AckSample)  { f.acks++ }
+func (f *snapWindow) OnLoss(_ time.Duration, _ cc.LossEvent) {}
+func (f *snapWindow) OnTimeout(time.Duration)                {}
+func (f *snapWindow) TickInterval() time.Duration            { return 0 }
+func (f *snapWindow) Tick(time.Duration)                     {}
 func (f *snapWindow) Allowance(_ time.Duration, inflight int) int {
 	return f.w - inflight
 }
@@ -118,16 +119,47 @@ func TestPoolSnapshotConservationAcrossRestore(t *testing.T) {
 	}
 }
 
+// unregisteredRecv is a pointer receiver nobody registered.
+type unregisteredRecv struct{ sim *Sim }
+
+func (r *unregisteredRecv) Receive(p *Packet) { r.sim.FreePacket(p) }
+
 // TestSnapshotRejectsUntrackedEvents pins the all-or-nothing contract: a
-// pending callback scheduled outside the registry (plain Schedule) must fail
-// the whole snapshot with a named error, never be silently dropped.
+// pending event whose handler carries no registry id must fail the whole
+// snapshot with a named error, never be silently dropped. Each case is one
+// handler type SnapshotHeap cannot serialize.
 func TestSnapshotRejectsUntrackedEvents(t *testing.T) {
-	d := buildSnapDumbbell()
-	d.Sim.Schedule(2*time.Second, func() {})
-	d.Run(100 * time.Millisecond)
-	e := snap.NewEncoder()
-	d.Snapshot(e)
-	if e.Err() == nil {
-		t.Fatal("snapshot of an untagged pending callback succeeded; checkpoints must capture everything or nothing")
+	cases := []struct {
+		name    string
+		pending func(s *Sim)
+		want    string
+	}{
+		{"plain closure", func(s *Sim) {
+			s.Schedule(2*time.Second, Func(func() {}), nil)
+		}, "plain Func"},
+		{"plain Every tick", func(s *Sim) {
+			s.Every(time.Second, func() {})
+		}, "created with Every"},
+		{"ReceiverFunc delivery", func(s *Sim) {
+			s.Schedule(2*time.Second, ReceiverFunc(s.FreePacket), s.NewPacket(0, 0, 100, 0, 0))
+		}, "unregistrable receiver"},
+		{"unregistered pointer receiver", func(s *Sim) {
+			s.Schedule(2*time.Second, &unregisteredRecv{sim: s}, s.NewPacket(0, 0, 100, 0, 0))
+		}, "unregistered receiver"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			d := buildSnapDumbbell()
+			c.pending(d.Sim)
+			d.Run(100 * time.Millisecond)
+			e := snap.NewEncoder()
+			d.Snapshot(e)
+			if e.Err() == nil {
+				t.Fatal("snapshot with an untracked pending event succeeded; checkpoints must capture everything or nothing")
+			}
+			if !strings.Contains(e.Err().Error(), c.want) {
+				t.Fatalf("snapshot error %q does not name the cause %q", e.Err(), c.want)
+			}
+		})
 	}
 }

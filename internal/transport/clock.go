@@ -78,19 +78,19 @@ func (c *SimClock) Now() time.Time { return c.epoch.Add(c.sim.Now()) }
 // NewTicker fires on simulated time via sim.Every.
 func (c *SimClock) NewTicker(d time.Duration) Ticker {
 	ch := make(chan time.Time, 1)
-	stop := c.sim.Every(d, func() {
+	t := c.sim.Every(d, func() {
 		select {
 		case ch <- c.Now():
 		default: // consumer behind; drop the tick like time.Ticker does
 		}
 	})
-	return &simTicker{ch: ch, stop: stop}
+	return &simTicker{ch: ch, t: t}
 }
 
 type simTicker struct {
-	ch   chan time.Time
-	stop func()
+	ch chan time.Time
+	t  *netsim.Timer
 }
 
 func (t *simTicker) C() <-chan time.Time { return t.ch }
-func (t *simTicker) Stop()               { t.stop() }
+func (t *simTicker) Stop()               { t.t.Stop() }

@@ -32,7 +32,7 @@ func TestSimClockTicker(t *testing.T) {
 
 	var got []time.Time
 	// Drain inside the simulation, as a single-goroutine consumer would.
-	stopDrain := sim.Every(10*time.Millisecond, func() {
+	drain := sim.Every(10*time.Millisecond, func() {
 		select {
 		case ts := <-ticker.C():
 			got = append(got, ts)
@@ -40,7 +40,7 @@ func TestSimClockTicker(t *testing.T) {
 		}
 	})
 	sim.Run(35 * time.Millisecond)
-	stopDrain()
+	drain.Stop()
 	if len(got) != 3 {
 		t.Fatalf("ticks = %d, want 3", len(got))
 	}

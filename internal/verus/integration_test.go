@@ -90,7 +90,7 @@ func TestVerusAdaptsToCapacityDrop(t *testing.T) {
 		link = netsim.NewFixedLink(sim, netsim.NewDropTail(2_000_000), 20, 5*time.Millisecond, dst, 1)
 		return link
 	}, 1400, []netsim.FlowSpec{{Ctrl: v, AckDelay: 5 * time.Millisecond}})
-	sim.Schedule(15*time.Second, func() { link.SetRateMbps(2) })
+	sim.Schedule(15*time.Second, netsim.Func(func() { link.SetRateMbps(2) }), nil)
 	d.Run(30 * time.Second)
 
 	m := d.Metrics[0]
